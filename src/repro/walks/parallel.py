@@ -459,7 +459,9 @@ def parallel_walks(
         from ``rng`` before dispatch, even when the run falls back to the
         sequential path.
     nodes:
-        Start nodes (default: every non-isolated node).
+        Start nodes (default: every non-isolated node).  An id outside
+        the graph raises :class:`~repro.exceptions.WalkError` before any
+        chunk is scheduled.
     chunk_size:
         Start nodes per work unit; determinism is per-(seed, chunk_size).
     fault_plan:
@@ -501,6 +503,8 @@ def parallel_walks(
             v for v in range(engine.graph.num_nodes) if engine.graph.degree(v) > 0
         ]
     nodes = [int(v) for v in nodes]
+    if nodes and (min(nodes) < 0 or max(nodes) >= engine.graph.num_nodes):
+        raise WalkError("start node out of range")
     if workers is None:
         workers = min(os.cpu_count() or 1, 16)
 

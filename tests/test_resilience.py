@@ -21,13 +21,14 @@ from repro import (
     RetryPolicy,
     SimulatedOOMError,
     WalkCheckpoint,
+    generate_walks,
 )
 from repro.cost import SamplerKind
 from repro.exceptions import CheckpointError, InjectedFaultError, WalkError
 from repro.graph import barabasi_albert_graph
 from repro.resilience import ChunkSupervisor, DeadLetter
 from repro.resilience.degradation import chain_downgrade
-from repro.walks import parallel_walks
+from repro.walks import BucketedWalkScheduler, parallel_walks
 
 
 @pytest.fixture(scope="module")
@@ -170,22 +171,34 @@ class TestCrashRecovery:
         assert "chunk 2" in str(failure)
         assert "16..23" in str(failure)
 
-    def test_sequential_fallback_wraps_genuine_errors(self, framework):
+    def test_sequential_fallback_wraps_genuine_errors(self, framework, monkeypatch):
         """Worker exceptions carry chunk context even without a pool or a
-        fault plan: a genuinely bad start node surfaces as ChunkFailure."""
+        fault plan: an engine error at one start node surfaces as
+        ChunkFailure.  (An out-of-range start is rejected before any chunk
+        runs; see TestStartNodeValidation.)"""
+        engine = framework.walk_engine
+        walk = engine.walk
+
+        def failing_walk(v, length, rng):
+            if v == 4:
+                raise ValueError("engine fault at node 4")
+            return walk(v, length, rng)
+
+        monkeypatch.setattr(engine, "walk", failing_walk)
         with pytest.raises(ChunkFailure) as excinfo:
             parallel_walks(
-                framework.walk_engine,
+                engine,
                 num_walks=1,
                 length=4,
                 workers=1,
                 chunk_size=4,
-                nodes=[0, 1, 2, 3, 10 ** 6],  # out-of-range start in chunk 1
+                nodes=[0, 1, 2, 3, 4],  # the failing start is in chunk 1
                 rng=0,
                 retry=1,
             )
         assert excinfo.value.chunk_index == 1
-        assert 10 ** 6 in excinfo.value.start_nodes
+        assert 4 in excinfo.value.start_nodes
+        assert isinstance(excinfo.value.cause, ValueError)
 
 
 # ----------------------------------------------------------------------
@@ -667,4 +680,45 @@ class TestSupervisorUnits:
                 workers=1,
                 rng=0,
                 on_exhausted="ignore",
+            )
+
+
+class TestStartNodeValidation:
+    """An out-of-range start node is a caller error, not a chunk failure:
+    it must raise before any chunk runs, whatever ``on_exhausted`` says."""
+
+    @pytest.fixture(params=["batch", "scheduler"])
+    def engine(self, request, framework, graph):
+        if request.param == "batch":
+            return framework.batch_engine()
+        return BucketedWalkScheduler(graph, Node2VecModel(0.5, 2.0), num_shards=3)
+
+    @pytest.mark.parametrize("on_exhausted", ["raise", "dead-letter"])
+    @pytest.mark.parametrize("bad", [-1, 60, 10**6])
+    def test_parallel_walks_rejects_out_of_range_start(
+        self, engine, on_exhausted, bad
+    ):
+        with pytest.raises(WalkError, match="start node out of range"):
+            parallel_walks(
+                engine,
+                num_walks=1,
+                length=4,
+                workers=1,
+                nodes=[0, bad, 1],
+                rng=0,
+                on_exhausted=on_exhausted,
+            )
+
+    @pytest.mark.parametrize("on_exhausted", ["raise", "dead-letter"])
+    def test_generate_walks_rejects_out_of_range_start(self, graph, on_exhausted):
+        with pytest.raises(WalkError, match="start node out of range"):
+            generate_walks(
+                graph,
+                Node2VecModel(0.5, 2.0),
+                num_walks=1,
+                length=4,
+                nodes=[graph.num_nodes],
+                num_shards=3,
+                rng=0,
+                on_exhausted=on_exhausted,
             )
