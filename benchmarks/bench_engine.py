@@ -14,6 +14,10 @@ grown through:
    sampler assignment plus a hot edge-state cache sized to the budget
    headroom.
 
+Each scale also records the framework set-up the walks depend on, by
+layer: exact bounding constants, the optimizer, and sampler-table
+construction (``setup`` in the output, seconds).
+
 Methodology: batch engines run the full workload in frontier chunks; the
 scalar engine walks start nodes under a wall-clock budget and its rate is
 extrapolated from the walks it completed (flagged ``extrapolated`` in the
@@ -143,12 +147,22 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
     # Budget: half of the all-alias footprint, so the optimizer must mix
     # sampler kinds — the regime the assignment-aware dispatch targets.
     # Priced off the cost table; nothing is materialised for the sizing.
+    started = time.perf_counter()
     constants = compute_bounding_constants(graph, model)
+    bounding_s = time.perf_counter() - started
     table = build_cost_table(graph, constants, CostParams())
     budget = 0.5 * float(table.memory[:, int(SamplerKind.ALIAS)].sum())
     framework = MemoryAwareFramework(
         graph, model, budget=budget, bounding_constants=constants, rng=0
     )
+    # Framework set-up by layer (bounding constants are computed above and
+    # handed in, so the framework's own bounding timer reads zero).
+    setup = {
+        "bounding_s": round(bounding_s, 3),
+        "optimize_s": round(framework.timings.optimize_seconds, 3),
+        "sampler_build_s": round(framework.timings.build_seconds, 3),
+    }
+    setup["total_s"] = round(sum(setup.values()), 3)
 
     configs = {}
     done, secs, trunc = bench_scalar(
@@ -201,6 +215,7 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         "total_walks": int(total_walks),
         "budget_bytes": round(budget, 0),
         "assignment": {str(k): int(v) for k, v in counts.items()},
+        "setup": setup,
         "engines": engines,
         "cache": cache_stats,
         "speedup_batch_vs_scalar": (
@@ -278,6 +293,11 @@ def main(argv=None) -> int:
                 f"{'  (extrapolated)' if stats['extrapolated'] else ''}"
             )
         print(f"  speedup (aware batch / scalar): {entry['speedup_batch_vs_scalar']}")
+        setup = entry["setup"]
+        print(
+            f"  set-up: bounding {setup['bounding_s']} s, optimize "
+            f"{setup['optimize_s']} s, sampler build {setup['sampler_build_s']} s"
+        )
         results.append(entry)
 
     report = {
