@@ -498,7 +498,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
     StructureSpec(
         name="rejection_state",
         module="framework/node_samplers.py",
-        symbol="RejectionNodeSampler.__init__",
+        symbol="RejectionNodeSampler._state_buffers",
         model_module="cost/model.py",
         model_symbol="rejection_memory",
         model_env=(
@@ -506,11 +506,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
             ("params.float_bytes", "b_f"),
             ("params.int_bytes", "b_i"),
         ),
-        dims=(
-            ("factors", "d"),
-            ("self._neighbors", "d"),
-        ),
-        call_dims=(("neighbor_weights", "d"), ("neighbors", "d")),
+        dims=(("degree", "d"),),
         declared_alloc="2*d*b_f + d*b_i",
         variants=(("bounded", "d*b_f + d*b_i"),),
         note=(
@@ -522,7 +518,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
     StructureSpec(
         name="alias_state",
         module="framework/node_samplers.py",
-        symbol="AliasNodeSampler.__init__",
+        symbol="AliasNodeSampler._state_buffers",
         model_module="cost/model.py",
         model_symbol="alias_memory",
         model_env=(
@@ -530,12 +526,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
             ("params.float_bytes", "b_f"),
             ("params.int_bytes", "b_i"),
         ),
-        dims=(("self._neighbors", "d"),),
-        call_dims=(
-            ("neighbor_weights", "d"),
-            ("biased_weights", "d"),
-            ("neighbors", "d"),
-        ),
+        dims=(("degree", "d"),),
         declared_alloc="d**2*b_f + d**2*b_i + d*b_f + d*b_i",
         note="one e2e alias table per incoming edge (d**2) plus the n2e table",
     ),

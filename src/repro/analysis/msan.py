@@ -170,6 +170,12 @@ def trace_alloc(
     _TRACER.record(structure, nbytes, variant=variant, **dims)
 
 
+def tracing_active() -> bool:
+    """Whether :func:`trace_alloc` records right now.  Builders that emit
+    many records per batch check this once and skip the calls."""
+    return _TRACER is not None or msan_enabled()
+
+
 @contextmanager
 def msan_trace() -> Iterator[MsanTracer]:
     """Scope with a fresh tracer installed (independent of the env switch).
@@ -329,6 +335,7 @@ __all__ = [
     "MsanReport",
     "global_tracer",
     "trace_alloc",
+    "tracing_active",
     "msan_trace",
     "default_contracts",
     "expected_bytes",

@@ -13,9 +13,12 @@ import numpy as np
 from ..constants import DEFAULT_DEGREE_THRESHOLD
 from ..exceptions import BoundingConstantError
 from ..graph import CSRGraph
+from ..graph.csr import segment_positions
 from ..models import SecondOrderModel
+from ..models.base import row_positions
 from ..rng import RngLike, ensure_rng
-from .exact import BoundingConstants, _bounding_from_ratios
+from .blocks import state_blocks
+from .exact import BoundingConstants, _bounding_from_ratios, accumulate_constants
 
 
 def estimate_edge_bounding_constant(
@@ -95,19 +98,53 @@ def estimate_bounding_constants(
     if degree_threshold < 1:
         raise BoundingConstantError("degree_threshold must be >= 1")
     gen = ensure_rng(rng)
-    values = np.ones(graph.num_nodes, dtype=np.float64)
-    estimated = 0
-    evaluations = 0
-    for v in range(graph.num_nodes):
-        d = graph.degree(v)
-        if d > degree_threshold:
-            estimated += 1
-            evaluations += d * degree_threshold  # the O(d_v · D_th) of §3.3
+    degrees = graph.degrees
+    nodes = np.flatnonzero(degrees)
+    widths = np.minimum(degrees[nodes], degree_threshold)
+    totals = np.zeros(graph.num_nodes, dtype=np.float64)
+    # SN(v) of a node above the threshold, drawn when its first state is
+    # reached — one draw per such node, in node order, as the scalar path.
+    samples: dict[int, np.ndarray] = {}
+    for block in state_blocks(graph, nodes, widths):
+        if block.degrees.max() <= degree_threshold:
+            positions, sizes = row_positions(graph, block.nodes)
         else:
-            evaluations += d * d
-        values[v] = estimate_node_bounding_constant(
-            graph, model, v, degree_threshold=degree_threshold, rng=gen
+            parts = []
+            for v, degree, first, _, last in block.segments():
+                start = int(graph.indptr[v])
+                if degree <= degree_threshold:
+                    parts.append(np.arange(start, start + degree))
+                    continue
+                if first == 0:
+                    samples[v] = start + np.sort(
+                        gen.choice(degree, size=degree_threshold, replace=False)
+                    )
+                parts.append(samples.pop(v) if last else samples[v])
+            positions = np.concatenate(parts)
+            sizes = np.minimum(block.degrees, degree_threshold)
+        # Every state of a node is scored over the node's candidate row.
+        state_sizes = np.repeat(sizes, block.counts)
+        row_starts = np.cumsum(sizes) - sizes
+        candidates = graph.indices[positions][
+            segment_positions(np.repeat(row_starts, block.counts), state_sizes)
+        ]
+        accumulate_constants(
+            totals,
+            graph,
+            model,
+            block,
+            graph.weights[positions],
+            sizes,
+            (candidates, state_sizes),
         )
+    values = np.ones(graph.num_nodes, dtype=np.float64)
+    values[nodes] = totals[nodes] / degrees[nodes]
+    over = degrees > degree_threshold
+    # The O(d_v · D_th) of §3.3 above the threshold, d_v² below it.
+    evaluations = int(
+        np.where(over, degrees * degree_threshold, degrees * degrees).sum()
+    )
+    estimated = int(over.sum())
     return BoundingConstants(
         values=values,
         exact=(estimated == 0),

@@ -26,6 +26,9 @@ import numpy as np
 from ..exceptions import BoundingConstantError
 from ..graph import CSRGraph
 from ..models import SecondOrderModel
+from ..models.base import row_positions
+from ..sampling.utils import segment_sums
+from .blocks import StateBlock, state_blocks
 
 
 def _bounding_from_ratios(ratios: np.ndarray, weights: np.ndarray) -> float:
@@ -126,14 +129,67 @@ def compute_bounding_constants(
     """Exact ``C_v`` for every node (the LP-std path of the paper).
 
     Total complexity matches triangle counting — quadratic in node degree —
-    which is exactly why Section 3.3 introduces estimation.
+    which is exactly why Section 3.3 introduces estimation.  Runs in block
+    passes over edge states (:func:`accumulate_constants`); the values are
+    bit-identical to :func:`node_bounding_constant` per node.
     """
+    degrees = graph.degrees
+    nodes = np.flatnonzero(degrees)
+    totals = np.zeros(graph.num_nodes, dtype=np.float64)
+    for block in state_blocks(graph, nodes, degrees[nodes]):
+        positions, sizes = row_positions(graph, block.nodes)
+        accumulate_constants(
+            totals, graph, model, block, graph.weights[positions], sizes
+        )
     values = np.ones(graph.num_nodes, dtype=np.float64)
-    evaluations = 0
-    for v in range(graph.num_nodes):
-        values[v] = node_bounding_constant(graph, model, v)
-        d = graph.degree(v)
-        evaluations += d * d
+    values[nodes] = totals[nodes] / degrees[nodes]
+    evaluations = int((degrees * degrees).sum())
     return BoundingConstants(
         values=values, exact=True, meta={"ratio_evaluations": evaluations}
     )
+
+
+def accumulate_constants(
+    totals: np.ndarray,
+    graph: CSRGraph,
+    model: SecondOrderModel,
+    block: StateBlock,
+    rows: np.ndarray,
+    row_sizes: np.ndarray,
+    candidates: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> None:
+    """Add ``C_uv`` of every state of ``block`` to ``totals[v]``.
+
+    ``rows`` holds, per node of the block, the proposal weights its
+    ratios are taken over (``row_sizes`` each); ``candidates`` is passed
+    to :meth:`~repro.models.SecondOrderModel.target_ratios_many`.  Every
+    float op follows :func:`_bounding_from_ratios`: the max is exact in
+    any order, ``W`` is each row's ``sum()``, the dot is one ``np.dot``
+    per state (a ``reduceat`` or ``einsum`` sum is not BLAS order), and
+    ``np.add.at`` adds the states of a node in order, like the scalar
+    ``total +=``.
+    """
+    ratios, sizes = model.target_ratios_many(graph, block.us, block.vs, candidates)
+    state_row = np.repeat(np.arange(len(block.nodes)), block.counts)
+    row_ends = np.cumsum(row_sizes)
+    row_starts = row_ends - row_sizes
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    denoms = np.fromiter(
+        (
+            np.dot(ratios[a:b], rows[c:e])
+            for a, b, c, e in zip(
+                starts.tolist(),
+                ends.tolist(),
+                row_starts[state_row].tolist(),
+                row_ends[state_row].tolist(),
+            )
+        ),
+        dtype=np.float64,
+        count=len(sizes),
+    )
+    if np.any(denoms <= 0):
+        raise BoundingConstantError("target distribution has zero total mass")
+    maxima = np.maximum.reduceat(ratios, starts)
+    masses = segment_sums(rows, row_sizes)[state_row]
+    np.add.at(totals, block.vs, maxima * masses / denoms)

@@ -10,7 +10,7 @@ import numpy as np
 from ..bounding import BoundingConstants, compute_bounding_constants
 from ..cost import CostParams, CostTable, SamplerKind, build_cost_table
 from ..exceptions import OptimizerError, WalkError
-from ..framework import WalkEngine, build_node_sampler
+from ..framework import WalkEngine, build_node_samplers
 from ..framework.interfaces import NodeSampler
 from ..graph import CSRGraph
 from ..models import SecondOrderModel
@@ -178,12 +178,12 @@ class PartitionedFramework:
             nodes = np.flatnonzero(partition == worker)
             assignment = self._solve_worker(nodes, float(worker_budgets[worker]))
             self.worker_assignments.append(assignment)
-            for local_index, v in enumerate(nodes):
-                kind = SamplerKind(int(assignment.samplers[local_index]))
-                if graph.degree(int(v)) > 0:
-                    self._samplers[int(v)] = build_node_sampler(
-                        kind, graph, model, int(v)
-                    )
+            active = graph.degrees[nodes] > 0
+            for kind in SamplerKind:
+                picked = nodes[active & (assignment.samplers == int(kind))]
+                built = build_node_samplers(kind, graph, model, picked)
+                for v, sampler in zip(picked.tolist(), built):
+                    self._samplers[v] = sampler
         self._engine = WalkEngine(graph, self._samplers)
 
     # ------------------------------------------------------------------

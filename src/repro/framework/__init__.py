@@ -13,6 +13,7 @@ from .node_samplers import (
     NaiveNodeSampler,
     RejectionNodeSampler,
     build_node_sampler,
+    build_node_samplers,
 )
 from .memory import MemoryBudget, MemoryMeter, format_bytes, linear_budget_trace
 from .walker import WalkEngine
@@ -38,6 +39,7 @@ __all__ = [
     "RejectionNodeSampler",
     "AliasNodeSampler",
     "build_node_sampler",
+    "build_node_samplers",
     "MemoryBudget",
     "MemoryMeter",
     "format_bytes",

@@ -42,7 +42,7 @@ from ..resilience.degradation import (
 from ..rng import RngLike, ensure_rng
 from .interfaces import NodeSampler
 from .memory import MemoryMeter
-from .node_samplers import build_node_sampler
+from .node_samplers import build_node_samplers
 from .walker import WalkEngine
 
 #: optimizer algorithm names accepted by the framework.
@@ -315,15 +315,26 @@ class MemoryAwareFramework:
             raise OptimizerError(
                 "dynamic budgets require the 'lp' optimizer"
             )
-        update = self._adaptive.set_budget(new_budget)
         old = self._assignment
-        self._assignment = self._adaptive.assignment
-
-        started = time.perf_counter()
-        changed = np.nonzero(old.samplers != self._assignment.samplers)[0]
-        for v in changed:
-            self._drop_sampler(int(v), int(old.samplers[v]))
-            self._build_sampler(int(v), int(self._assignment.samplers[v]))
+        # Charge the new samplers before dropping or building anything; if
+        # the meter trips (or a build fails) the optimizer and the meter
+        # roll back and the old samplers stay in place.
+        with self._adaptive.transaction(), self.meter.transaction():
+            update = self._adaptive.set_budget(new_budget)
+            new = self._adaptive.assignment
+            started = time.perf_counter()
+            changed = np.flatnonzero(old.samplers != new.samplers)
+            for v in changed.tolist():
+                if self._samplers[v] is not None:
+                    column = int(old.samplers[v])
+                    self.meter.release(
+                        self.cost_table.memory[v, column],
+                        what=self._charge_label(v, column),
+                    )
+            built = self._build_samplers(changed, new.samplers[changed])
+        self._assignment = new
+        for v, sampler in zip(changed.tolist(), built):
+            self._samplers[v] = sampler
         rebuild_seconds = time.perf_counter() - started
         self._engine = WalkEngine(self.graph, self._samplers)
         return update, rebuild_seconds
@@ -423,9 +434,9 @@ class MemoryAwareFramework:
         if self.oom_policy == "degrade":
             self._degrade_to_fit()
         started = time.perf_counter()
-        self._samplers: list[NodeSampler | None] = [None] * self.graph.num_nodes
-        for v in range(self.graph.num_nodes):
-            self._build_sampler(v, int(self._assignment.samplers[v]))
+        self._samplers: list[NodeSampler | None] = self._build_samplers(
+            np.arange(self.graph.num_nodes), self._assignment.samplers
+        )
         self.timings.build_seconds = time.perf_counter() - started
         self._engine = WalkEngine(self.graph, self._samplers)
 
@@ -494,30 +505,46 @@ class MemoryAwareFramework:
             DegradedRunWarning(self.degradation_log.describe()), stacklevel=3
         )
 
-    def _build_sampler(self, v: int, column: int) -> None:
-        if self.graph.degree(v) == 0:
-            self._samplers[v] = None
-            return
-        column = int(column)
+    def _build_samplers(
+        self, nodes: np.ndarray, columns: np.ndarray
+    ) -> list[NodeSampler | None]:
+        """Samplers of cost-table ``columns`` for ``nodes`` (``None`` for
+        isolated nodes).
+
+        The meter is charged for every node, in node order, before any
+        table is built, so an OOM names the first node that does not fit
+        and leaves nothing half-built.  The built-in kinds are then built
+        in block passes (:func:`build_node_samplers`).
+        """
+        columns = np.asarray(columns, dtype=np.int64)
+        active = self.graph.degrees[nodes] > 0
+        for v, column in zip(nodes[active].tolist(), columns[active].tolist()):
+            self.meter.charge(
+                self.cost_table.memory[v, column],
+                what=self._charge_label(v, column),
+            )
+        samplers: list[NodeSampler | None] = [None] * len(nodes)
+        for column in np.unique(columns[active]).tolist():
+            picked = np.flatnonzero(active & (columns == column))
+            if column < len(SamplerKind):
+                built = build_node_samplers(
+                    SamplerKind(column), self.graph, self.model, nodes[picked]
+                )
+            else:
+                spec = self.extra_samplers[column - len(SamplerKind)]
+                built = [
+                    spec.build(self.graph, self.model, v)
+                    for v in nodes[picked].tolist()
+                ]
+            for i, sampler in zip(picked.tolist(), built):
+                samplers[i] = sampler
+        return samplers
+
+    def _charge_label(self, v: int, column: int) -> str:
+        """The meter label of node ``v``'s sampler in ``column``."""
         label = (
             SamplerKind(column).name.lower()
             if column < len(SamplerKind)
             else self.extra_samplers[column - len(SamplerKind)].name
         )
-        self.meter.charge(
-            self.cost_table.memory[v, column],
-            what=f"{label} sampler at node {v}",
-        )
-        if column < len(SamplerKind):
-            self._samplers[v] = build_node_sampler(
-                SamplerKind(column), self.graph, self.model, v
-            )
-        else:
-            spec = self.extra_samplers[column - len(SamplerKind)]
-            self._samplers[v] = spec.build(self.graph, self.model, v)
-
-    def _drop_sampler(self, v: int, column: int) -> None:
-        if self._samplers[v] is None:
-            return
-        self.meter.release(self.cost_table.memory[v, int(column)])
-        self._samplers[v] = None
+        return f"{label} sampler at node {v}"

@@ -8,7 +8,9 @@ linear up-then-down budget trace.  This module provides those utilities.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -145,6 +147,16 @@ class MemoryMeter:
             self._ledger[what] -= amount
             if self._ledger[what] <= 0:
                 del self._ledger[what]
+
+    @contextmanager
+    def transaction(self) -> Iterator["MemoryMeter"]:
+        """Scope whose charges and releases are undone if it raises."""
+        saved = (self._used, self._peak, dict(self._ledger))
+        try:
+            yield self
+        except BaseException:
+            self._used, self._peak, self._ledger = saved
+            raise
 
     def reset(self) -> None:
         """Zero the meter (peak retained, ledger cleared)."""

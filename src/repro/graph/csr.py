@@ -15,6 +15,16 @@ import numpy as np
 from ..exceptions import EmptyGraphError, GraphFormatError
 
 
+def segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat positions of the segments ``[starts[i], starts[i] + sizes[i])``,
+    concatenated in segment order — the gather index of a batch of CSR
+    rows or row slices."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - sizes), sizes)
+
+
 class CSRGraph:
     """An immutable weighted graph in CSR form.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import ModelError
 from ..graph import CSRGraph
-from .base import SecondOrderModel
+from .base import SecondOrderModel, row_positions
 
 
 class AutoregressiveModel(SecondOrderModel):
@@ -75,6 +75,87 @@ class AutoregressiveModel(SecondOrderModel):
         p_vz = w_vz / graph.weight_sum(v)
         p_uz = self._first_order_probs(graph, u, candidates)
         return (1.0 - self.alpha) + self.alpha * p_uz / p_vz
+
+    # The vectorised batch methods below read whole-graph arrays (cached
+    # W_v, the composite edge keys); graph facades without them, such as
+    # the sharded scheduler's shard view, take the per-state defaults.
+    def biased_weights_many(
+        self, graph: CSRGraph, us: np.ndarray, vs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(graph, CSRGraph):
+            return super().biased_weights_many(graph, us, vs)
+        positions, sizes = row_positions(graph, vs)
+        v_rep = np.repeat(np.asarray(vs, dtype=np.int64), sizes)
+        u_rep = np.repeat(np.asarray(us, dtype=np.int64), sizes)
+        # The elementwise ops of biased_weights, state by state.
+        p_vz = graph.weights[positions] / graph.weight_sums[v_rep]
+        p_uz = self._first_order_probs_many(
+            graph, u_rep, graph.indices[positions]
+        )
+        return (1.0 - self.alpha) * p_vz + self.alpha * p_uz, sizes
+
+    def target_ratios_many(
+        self,
+        graph: CSRGraph,
+        us: np.ndarray,
+        vs: np.ndarray,
+        candidates: "tuple[np.ndarray, np.ndarray] | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(graph, CSRGraph):
+            return super().target_ratios_many(graph, us, vs, candidates)
+        vs = np.asarray(vs, dtype=np.int64)
+        if candidates is None:
+            positions, sizes = row_positions(graph, vs)
+            z = graph.indices[positions]
+            v_rep = np.repeat(vs, sizes)
+        else:
+            z, sizes = candidates
+            v_rep = np.repeat(vs, sizes)
+            offsets, _ = graph.edge_positions(v_rep, z)
+            positions = graph.indptr[v_rep] + offsets
+        u_rep = np.repeat(np.asarray(us, dtype=np.int64), sizes)
+        p_vz = graph.weights[positions] / graph.weight_sums[v_rep]
+        p_uz = self._first_order_probs_many(graph, u_rep, z)
+        return (1.0 - self.alpha) + self.alpha * p_uz / p_vz, sizes
+
+    def target_ratio_bulk(
+        self,
+        graph: CSRGraph,
+        us: np.ndarray,
+        vs: np.ndarray,
+        zs: np.ndarray,
+    ) -> np.ndarray:
+        if not isinstance(graph, CSRGraph):
+            return super().target_ratio_bulk(graph, us, vs, zs)
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        zs = np.asarray(zs, dtype=np.int64)
+        offsets, found = graph.edge_positions(vs, zs)
+        w_vz = np.zeros(len(zs), dtype=np.float64)
+        w_vz[found] = graph.weights[graph.indptr[vs[found]] + offsets[found]]
+        bad = np.flatnonzero(w_vz <= 0)
+        if bad.size:
+            v, z = int(vs[bad[0]]), int(zs[bad[0]])
+            raise ModelError(f"({v}, {z}) is not an edge with positive weight")
+        # The float ops of target_ratio, one triple per lane.
+        p_vz = w_vz / graph.weight_sums[vs]
+        p_uz = self._first_order_probs_many(graph, us, zs)
+        return (1.0 - self.alpha) + self.alpha * p_uz / p_vz
+
+    @staticmethod
+    def _first_order_probs_many(
+        graph: CSRGraph, us: np.ndarray, zs: np.ndarray
+    ) -> np.ndarray:
+        """``p_uz`` for aligned pairs (0 where ``(u, z)`` is no edge or
+        ``W_u`` is not positive) — :meth:`_first_order_probs` per lane."""
+        w_u = graph.weight_sums[us]
+        offsets, found = graph.edge_positions(us, zs)
+        found &= w_u > 0
+        probs = np.zeros(len(zs), dtype=np.float64)
+        probs[found] = (
+            graph.weights[graph.indptr[us[found]] + offsets[found]] / w_u[found]
+        )
+        return probs
 
     @staticmethod
     def _first_order_probs(

@@ -25,6 +25,19 @@ import numpy as np
 
 from ..exceptions import ModelError
 from ..graph import CSRGraph
+from ..graph.csr import segment_positions
+
+
+def row_positions(
+    graph: CSRGraph, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat CSR positions of the rows of ``vs``, concatenated, plus each
+    row's length — the segmented gather behind the vectorised ``*_many``
+    model methods."""
+    vs = np.asarray(vs, dtype=np.int64)
+    starts = graph.indptr[vs]
+    sizes = graph.indptr[vs + 1] - starts
+    return segment_positions(starts, sizes), sizes
 
 
 class SecondOrderModel(ABC):
@@ -73,6 +86,49 @@ class SecondOrderModel(ABC):
         chunks = [
             self.biased_weights(graph, int(u), int(v)) for u, v in zip(us, vs)
         ]
+        sizes = np.array([len(c) for c in chunks], dtype=np.int64)
+        flat = (
+            np.concatenate(chunks)
+            if chunks
+            else np.empty(0, dtype=np.float64)
+        )
+        return flat, sizes
+
+    def target_ratios_many(
+        self,
+        graph: CSRGraph,
+        us: np.ndarray,
+        vs: np.ndarray,
+        candidates: "tuple[np.ndarray, np.ndarray] | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Target ratios for a batch of edge states ``(us[i], vs[i])``.
+
+        ``candidates`` is ``None`` for every state's full row
+        ``graph.neighbors(vs[i])`` (exact bounding, rejection factors), or
+        a ``(flat, sizes)`` pair giving each state its own candidate
+        neighbours of ``vs[i]`` (estimation over a sampled ``SN(v)``).
+        Returns ``(flat, sizes)`` like :meth:`biased_weights_many`.
+
+        The default loops over the per-state call the scalar bounding code
+        makes — :meth:`target_ratios` for full rows,
+        :meth:`target_ratios_subset` for candidates — so models without a
+        vectorised override give bit-identical constants by construction.
+        Overrides must stay bit-identical to those per-state calls.
+        """
+        if candidates is None:
+            chunks = [
+                self.target_ratios(graph, int(u), int(v))
+                for u, v in zip(us, vs)
+            ]
+        else:
+            flat, sizes = candidates
+            bounds = np.cumsum(sizes)
+            chunks = [
+                self.target_ratios_subset(
+                    graph, int(u), int(v), flat[stop - size : stop]
+                )
+                for u, v, size, stop in zip(us, vs, sizes, bounds)
+            ]
         sizes = np.array([len(c) for c in chunks], dtype=np.int64)
         flat = (
             np.concatenate(chunks)

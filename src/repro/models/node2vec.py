@@ -22,7 +22,7 @@ import numpy as np
 
 from ..exceptions import ModelError
 from ..graph import CSRGraph
-from .base import SecondOrderModel
+from .base import SecondOrderModel, row_positions
 
 
 class Node2VecModel(SecondOrderModel):
@@ -70,29 +70,39 @@ class Node2VecModel(SecondOrderModel):
     def biased_weights_many(
         self, graph: CSRGraph, us: np.ndarray, vs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        starts = graph.indptr[vs]
-        sizes = (graph.indptr[vs + 1] - starts).astype(np.int64)
-        total = int(sizes.sum())
-        if total == 0:
+        positions, sizes = row_positions(graph, vs)
+        if len(positions) == 0:
             return np.empty(0, dtype=np.float64), sizes
-        # Segmented gather of each state's neighbour row from the CSR.
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        flat_pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, sizes)
-            + np.repeat(starts, sizes)
-        )
-        z = graph.indices[flat_pos]
-        weights = graph.weights[flat_pos].astype(np.float64, copy=True)
-        u_rep = np.repeat(us, sizes)
+        z = graph.indices[positions]
+        weights = graph.weights[positions].astype(np.float64, copy=True)
         # Same elementwise ops as biased_weights, so per-state results are
         # bit-identical to the scalar path regardless of batch composition.
+        return weights * self._ratios(graph, np.asarray(us), z, sizes), sizes
+
+    def target_ratios_many(
+        self,
+        graph: CSRGraph,
+        us: np.ndarray,
+        vs: np.ndarray,
+        candidates: "tuple[np.ndarray, np.ndarray] | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if candidates is None:
+            positions, sizes = row_positions(graph, vs)
+            z = graph.indices[positions]
+        else:
+            z, sizes = candidates
+        return self._ratios(graph, np.asarray(us), z, sizes), sizes
+
+    def _ratios(
+        self, graph: CSRGraph, us: np.ndarray, z: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Ratio per candidate ``z`` of states whose ``u`` repeats
+        ``sizes`` times — :meth:`target_ratios` for a flat batch."""
+        u_rep = np.repeat(us.astype(np.int64, copy=False), sizes)
         adjacent = graph.has_edge_pairs(u_rep, z)
-        factors = np.where(adjacent, 1.0, 1.0 / self.b)
-        factors[z == u_rep] = 1.0 / self.a
-        return weights * factors, sizes
+        ratios = np.where(adjacent, 1.0, 1.0 / self.b)
+        ratios[z == u_rep] = 1.0 / self.a
+        return ratios
 
     def target_ratios(self, graph: CSRGraph, u: int, v: int) -> np.ndarray:
         neighbors = graph.neighbors(v)

@@ -15,7 +15,9 @@ the from-scratch initialisation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..cost import CostTable
 from ..exceptions import InfeasibleBudgetError
@@ -108,6 +110,31 @@ class AdaptiveOptimizer:
         # satisfies the new budget (Section 5.3's "memory budget decrease").
         reverted = self._revert_backward()
         return BudgetUpdate(old_budget, self._budget, 0, reverted)
+
+    @contextmanager
+    def transaction(self) -> Iterator["AdaptiveOptimizer"]:
+        """Scope whose budget changes and shed steps are undone if it
+        raises (a rebuild that fails must leave the old assignment)."""
+        saved = (
+            self._budget,
+            self._cursor,
+            self._samplers.copy(),
+            self._used,
+            self._time,
+            list(self._trace),
+        )
+        try:
+            yield self
+        except BaseException:
+            (
+                self._budget,
+                self._cursor,
+                self._samplers,
+                self._used,
+                self._time,
+                self._trace,
+            ) = saved
+            raise
 
     def shed_memory(self, limit: float) -> list[TraceEntry]:
         """Revert applied upgrades (newest first) until ``used <= limit``.

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..rng import RngLike, ensure_rng
 from .base import DiscreteSampler
-from .utils import normalize_distribution
+from .utils import normalize_distribution, validate_segments
 
 
 def _msan_trace(structure: str, nbytes: int, **dims: float) -> None:
@@ -72,6 +72,15 @@ class AliasTable(DiscreteSampler):
         self._alias = alias
         _msan_trace("alias_table", self.nbytes, d=n)
 
+    @classmethod
+    def _from_arrays(cls, prob: np.ndarray, alias: np.ndarray) -> "AliasTable":
+        """Wrap tables built elsewhere (by :func:`build_alias_tables`),
+        without copying them."""
+        table = cls.__new__(cls)
+        table._prob = prob
+        table._alias = alias
+        return table
+
     @property
     def num_outcomes(self) -> int:
         return len(self._prob)
@@ -108,3 +117,73 @@ class AliasTable(DiscreteSampler):
         # One float (probability) + one int (alias) per outcome: the
         # (b_f + b_i) * n term of Table 1.
         return self.num_outcomes * (int_bytes + float_bytes)
+
+
+def build_alias_tables(
+    flat: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vose tables for many distributions in one lockstep pass.
+
+    Segment ``i`` of ``flat`` holds the next ``sizes[i]`` weights.  Its
+    probability and alias entries land at the same flat positions, with
+    aliases local to the segment.  Every segment comes out bit-identical
+    to ``AliasTable(segment)``: the normalisation reproduces ``arr.sum()``
+    (see :func:`~repro.sampling.utils.segment_sums`), and each table keeps
+    the scalar build's worklist order.  One loop iteration performs the
+    next pairing of every table still pairing, so a block of tables costs
+    as many iterations as its longest table needs, not one per table.
+
+    The two worklists of a table share its segment of one stack array:
+    small outcomes fill it from the left in ascending order, large ones
+    from the right in descending order, so both tops sit next to the free
+    middle.  Each pairing retires one small outcome, so they never meet.
+    """
+    flat = np.asarray(flat, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    sums = validate_segments(flat, sizes)
+    total = len(flat)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner_start = np.repeat(starts, sizes)
+    scaled = flat / np.repeat(sums, sizes) * np.repeat(sizes, sizes)
+    local = np.arange(total, dtype=np.int64) - owner_start
+    alias = local.copy()
+
+    small = scaled < 1.0
+    small_seen = np.concatenate(([0], np.cumsum(small)))
+    num_small = small_seen[ends] - small_seen[starts]
+    small_rank = small_seen[1:] - 1 - np.repeat(small_seen[starts], sizes)
+    large_rank = local - small_rank - 1
+    slots = np.where(
+        small,
+        owner_start + small_rank,
+        np.repeat(ends, sizes) - 1 - large_rank,
+    )
+    stack = np.empty(total, dtype=np.int64)
+    stack[slots] = np.arange(total, dtype=np.int64)
+
+    pairing = (num_small > 0) & (num_small < sizes)
+    first, last = starts[pairing], ends[pairing]
+    n_small, n_large = num_small[pairing], (sizes - num_small)[pairing]
+    while len(first):
+        n_small -= 1
+        n_large -= 1
+        lo = stack[first + n_small]
+        hi = stack[last - 1 - n_large]
+        alias[lo] = hi - first
+        residual = (scaled[hi] + scaled[lo]) - 1.0
+        scaled[hi] = residual
+        demoted = residual < 1.0
+        # A demoted donor takes the freed top slot of the small list; an
+        # undemoted one stays where it was on the large list.
+        stack[first + n_small] = np.where(demoted, hi, lo)
+        n_small += demoted
+        n_large += ~demoted
+        going = (n_small > 0) & (n_large > 0)
+        if not going.all():
+            first, last = first[going], last[going]
+            n_small, n_large = n_small[going], n_large[going]
+    # Retired outcomes keep the residual they were paired with; the
+    # leftovers are exactly-1 columns up to float error (prob 1, self).
+    prob = np.where(alias != local, scaled, 1.0)
+    return prob, alias

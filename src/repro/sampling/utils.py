@@ -33,6 +33,48 @@ def normalize_distribution(weights: np.ndarray, *, name: str = "distribution") -
     return arr / arr.sum()
 
 
+def segment_sums(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``flat[segment].sum()`` of every consecutive segment, bit for bit.
+
+    Segment ``i`` holds the next ``sizes[i]`` entries of ``flat``.
+    ``np.add.reduceat`` adds each segment left to right, which differs in
+    the last bit from the pairwise order of ``ndarray.sum``; summing the
+    segments of one length as the rows of a C-contiguous matrix keeps
+    that order, so normalisations match the scalar builders exactly.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    sums = np.zeros(len(sizes), dtype=np.float64)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = flat[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return sums
+
+
+def validate_segments(
+    flat: np.ndarray, sizes: np.ndarray, *, name: str = "distribution"
+) -> np.ndarray:
+    """:func:`validate_distribution` for every segment of ``flat`` at once.
+
+    Raises the :class:`DistributionError` the first bad segment would
+    raise on its own; otherwise returns the :func:`segment_sums`.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    sums = segment_sums(flat, sizes)
+    bad = (sizes == 0) | (sums <= 0)
+    bad_entry = ~(np.isfinite(flat) & (flat >= 0))
+    if bad_entry.any():
+        filled = sizes > 0
+        starts = np.cumsum(sizes) - sizes
+        counts = np.add.reduceat(bad_entry.astype(np.int64), starts[filled])
+        bad[filled] |= counts > 0
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        start = int(sizes[:first].sum())
+        validate_distribution(flat[start : start + sizes[first]], name=name)
+    return sums
+
+
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total-variation distance between two distributions of equal length.
 

@@ -59,6 +59,7 @@ import numpy as np
 
 from ..exceptions import WalkError
 from ..graph import CSRGraph
+from ..graph.csr import segment_positions
 from ..graph.sharded import (
     ShardData,
     ShardResidencyManager,
@@ -73,14 +74,6 @@ from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
 SCHEDULING_POLICIES = ("bucketed", "lockstep")
-
-
-def _segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Flat positions of the segments ``[starts[i], starts[i] + sizes[i])``,
-    concatenated in segment order."""
-    ends = np.cumsum(sizes)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - sizes), sizes)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -134,7 +127,7 @@ class _CarriedRows(NamedTuple):
         out of ``indices``/``weights`` in one segmented gather."""
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
-        positions = _segment_positions(starts, sizes)
+        positions = segment_positions(starts, sizes)
         return cls(
             nodes,
             indptr,
@@ -328,7 +321,7 @@ class _ShardView:
         in_shard = np.repeat(resident, sizes)
         rows = np.empty(len(in_shard), dtype=np.int64)
         rows[in_shard] = shard.indices[
-            _segment_positions(
+            segment_positions(
                 self.indptr[us[resident]] - shard.edge_offset, sizes[resident]
             )
         ]
@@ -336,7 +329,7 @@ class _ShardView:
         if far.any():
             carried = self._carried
             rows[~in_shard] = carried.indices[
-                _segment_positions(
+                segment_positions(
                     carried.indptr[self._carried_index(us[far])], sizes[far]
                 )
             ]

@@ -1,0 +1,319 @@
+"""Oracle tests for the block passes of framework set-up.
+
+Bounding constants, rejection factors and sampler tables are built in
+passes over blocks of edge states.  Each pass must reproduce the scalar
+builders bit for bit — the scalar functions (``AliasTable``,
+``node_bounding_constant``, ``estimate_node_bounding_constant``,
+``edge_max_ratio``) are the oracles here.  Small block bounds are
+patched in so that high-degree nodes split across blocks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.bounding.blocks as blocks
+import repro.sampling.utils as sampling_utils
+from repro import (
+    AliasTable,
+    AutoregressiveModel,
+    CSRGraph,
+    Node2VecModel,
+    SamplerKind,
+    compute_bounding_constants,
+    estimate_bounding_constants,
+)
+from repro.analysis.msan import msan_trace, verify_records
+from repro.bounding import edge_max_ratio, node_bounding_constant
+from repro.bounding.estimate import estimate_node_bounding_constant
+from repro.exceptions import DistributionError
+from repro.framework import (
+    AliasNodeSampler,
+    RejectionNodeSampler,
+    build_node_sampler,
+    build_node_samplers,
+)
+from repro.graph import barabasi_albert_graph
+from repro.models.edge_similarity import EdgeSimilarityModel
+from repro.sampling.alias import build_alias_tables
+from repro.sampling.utils import validate_distribution
+
+SETTINGS = settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+MODELS = [
+    Node2VecModel(0.25, 4.0),
+    AutoregressiveModel(0.3),
+    EdgeSimilarityModel(0.5),
+]
+MODEL_IDS = ["node2vec", "autoregressive", "edge-similarity"]
+
+
+def _graph(kind: str, seed: int) -> CSRGraph:
+    """A small power-law graph: unit-weight, weighted or directed."""
+    rng = np.random.default_rng(seed)
+    base = barabasi_albert_graph(120, 3, rng=seed)
+    weights = rng.random(base.num_edges) + 0.05
+    if kind == "unit":
+        return base
+    if kind == "weighted":
+        return CSRGraph(base.indptr, base.indices, weights)
+    keep = rng.random(base.num_edges) < 0.7
+    rows = np.repeat(np.arange(base.num_nodes), base.degrees)
+    return CSRGraph.from_edges(
+        np.stack([rows[keep], base.indices[keep]], axis=1),
+        weights[keep],
+        num_nodes=base.num_nodes,
+        undirected=False,
+    )
+
+
+@pytest.fixture(params=[None, 7, 64], ids=["default-blocks", "7", "64"])
+def block_entries(request, monkeypatch):
+    """Block bound of the passes; small ones split nodes across blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(blocks, "BLOCK_ENTRIES", request.param)
+    return request.param
+
+
+def _segments(flat: np.ndarray, sizes) -> list[np.ndarray]:
+    ends = np.cumsum(sizes)
+    return [flat[end - size : end] for size, end in zip(sizes, ends)]
+
+
+def _tables_match_scalar(flat: np.ndarray, sizes) -> bool:
+    prob, alias = build_alias_tables(flat, np.asarray(sizes))
+    for weights, p, a in zip(
+        _segments(flat, sizes), _segments(prob, sizes), _segments(alias, sizes)
+    ):
+        table = AliasTable(weights)
+        if not (
+            np.array_equal(table.probability_table, p)
+            and np.array_equal(table.alias_table, a)
+        ):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# segmented Vose
+# ----------------------------------------------------------------------
+class TestSegmentedAliasTables:
+    @SETTINGS
+    @given(
+        sizes=st.lists(st.sampled_from([1, 8, 9, 50, 129]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 1e-3, 1e4]),
+    )
+    def test_bit_identical_to_alias_table(self, sizes, seed, spread):
+        # Random, non-dyadic weights: their sums are inexact, so only an
+        # ndarray.sum()-order normalisation reproduces the scalar tables.
+        rng = np.random.default_rng(seed)
+        flat = (rng.random(sum(sizes)) + 1e-3) * spread
+        assert _tables_match_scalar(flat, sizes)
+
+    def test_ties_and_exact_levels(self):
+        # node2vec-like weights: three levels, many exact-1 columns.
+        rng = np.random.default_rng(3)
+        sizes = [1, 8, 9, 50, 129, 8, 8]
+        flat = rng.choice([0.25, 1.0, 4.0], size=sum(sizes))
+        assert _tables_match_scalar(flat, sizes)
+
+    def test_reduceat_normalisation_mutant_is_caught(self, monkeypatch):
+        # np.add.reduceat sums left to right; ndarray.sum() is pairwise.
+        # A build normalising with it must fail the oracle comparison.
+        def reduceat_sums(flat, sizes):
+            sizes = np.asarray(sizes)
+            return np.add.reduceat(flat, np.cumsum(sizes) - sizes)
+
+        rng = np.random.default_rng(7)
+        sizes = [1, 8, 9, 50, 129, 50, 9]
+        flat = rng.random(sum(sizes)) + 0.1
+        assert _tables_match_scalar(flat, sizes)
+        monkeypatch.setattr(sampling_utils, "segment_sums", reduceat_sums)
+        assert not _tables_match_scalar(flat, sizes)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([]),
+            np.array([1.0, np.nan]),
+            np.array([np.inf, 1.0]),
+            np.array([1.0, -0.5]),
+            np.array([0.0, 0.0]),
+        ],
+        ids=["empty", "nan", "inf", "negative", "zero-mass"],
+    )
+    def test_bad_segment_raises_scalar_error(self, bad):
+        good = np.array([1.0, 2.0, 3.0])
+        flat = np.concatenate([good, bad, good, np.array([0.0])])
+        sizes = [3, len(bad), 3, 1]  # the trailing zero-mass one comes later
+        with pytest.raises(DistributionError) as scalar:
+            validate_distribution(bad)
+        with pytest.raises(DistributionError) as segmented:
+            build_alias_tables(flat, np.array(sizes))
+        assert str(segmented.value) == str(scalar.value)
+
+
+# ----------------------------------------------------------------------
+# bounding constants
+# ----------------------------------------------------------------------
+class TestBoundingBlocks:
+    @pytest.mark.parametrize("kind", ["unit", "weighted", "directed"])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_exact_matches_node_oracle(self, kind, model, block_entries):
+        graph = _graph(kind, seed=11)
+        constants = compute_bounding_constants(graph, model)
+        oracle = [node_bounding_constant(graph, model, v) for v in graph.nodes()]
+        assert np.array_equal(constants.values, oracle)
+        degrees = graph.degrees.astype(np.int64)
+        assert constants.meta["ratio_evaluations"] == int((degrees**2).sum())
+
+    @pytest.mark.parametrize("kind", ["unit", "weighted", "directed"])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_estimate_matches_node_oracle(self, kind, model, block_entries):
+        graph = _graph(kind, seed=12)
+        estimated = estimate_bounding_constants(
+            graph, model, degree_threshold=6, rng=5
+        )
+        gen = np.random.default_rng(5)
+        oracle = [
+            estimate_node_bounding_constant(
+                graph, model, v, degree_threshold=6, rng=gen
+            )
+            for v in graph.nodes()
+        ]
+        assert estimated.estimated_nodes > 0
+        assert np.array_equal(estimated.values, oracle)
+
+    @SETTINGS
+    @given(seed=st.integers(0, 10_000), entries=st.integers(1, 300))
+    def test_any_block_bound_gives_same_constants(self, seed, entries):
+        graph = _graph("weighted", seed=seed % 50)
+        model = AutoregressiveModel(0.4)
+        reference = compute_bounding_constants(graph, model).values
+        saved = blocks.BLOCK_ENTRIES
+        blocks.BLOCK_ENTRIES = entries
+        try:
+            values = compute_bounding_constants(graph, model).values
+        finally:
+            blocks.BLOCK_ENTRIES = saved
+        assert np.array_equal(values, reference)
+
+
+# ----------------------------------------------------------------------
+# node samplers
+# ----------------------------------------------------------------------
+def _table_arrays(sampler) -> list[np.ndarray]:
+    if isinstance(sampler, AliasNodeSampler):
+        tables = [sampler.first_order, *sampler.tables]
+    else:
+        tables = [sampler.proposal]
+    return [x for t in tables for x in (t.probability_table, t.alias_table)]
+
+
+class TestNodeSamplerBlocks:
+    @pytest.mark.parametrize("kind", ["weighted", "directed"])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_alias_tables_match_scalar_builds(self, kind, model, block_entries):
+        graph = _graph(kind, seed=13)
+        nodes = np.flatnonzero(graph.degrees > 0)
+        built = build_node_samplers(SamplerKind.ALIAS, graph, model, nodes)
+        for v, sampler in zip(nodes.tolist(), built):
+            assert sampler.node == v
+            expected = [AliasTable(graph.neighbor_weights(v))] + [
+                AliasTable(model.biased_weights(graph, int(u), v))
+                for u in graph.neighbors(v)
+            ]
+            got = [sampler.first_order, *sampler.tables]
+            assert len(got) == len(expected)
+            for table, oracle in zip(got, expected):
+                assert np.array_equal(
+                    table.probability_table, oracle.probability_table
+                )
+                assert np.array_equal(table.alias_table, oracle.alias_table)
+
+    @pytest.mark.parametrize("kind", ["weighted", "directed"])
+    def test_exact_factors_match_edge_max_ratio(self, kind, block_entries):
+        graph = _graph(kind, seed=14)
+        model = AutoregressiveModel(0.3)  # no closed-form bound
+        nodes = np.flatnonzero(graph.degrees > 0)
+        built = build_node_samplers(SamplerKind.REJECTION, graph, model, nodes)
+        for v, sampler in zip(nodes.tolist(), built):
+            proposal = AliasTable(graph.neighbor_weights(v))
+            assert np.array_equal(
+                sampler.proposal.probability_table, proposal.probability_table
+            )
+            assert np.array_equal(sampler.proposal.alias_table, proposal.alias_table)
+            for u in graph.neighbors(v).tolist():
+                assert sampler.acceptance_factor(u) == 1.0 / edge_max_ratio(
+                    graph, model, u, v
+                )
+
+    @pytest.mark.parametrize("kind", [SamplerKind.REJECTION, SamplerKind.ALIAS])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_node_alone_equals_node_in_block(self, kind, model, block_entries):
+        graph = _graph("weighted", seed=15)
+        nodes = np.flatnonzero(graph.degrees > 0)
+        together = build_node_samplers(kind, graph, model, nodes)
+        for v, sampler in zip(nodes.tolist(), together):
+            alone = build_node_sampler(kind, graph, model, v)
+            for x, y in zip(_table_arrays(alone), _table_arrays(sampler)):
+                assert np.array_equal(x, y)
+            if kind is SamplerKind.REJECTION:
+                for u in graph.neighbors(v).tolist():
+                    assert alone.acceptance_factor(u) == sampler.acceptance_factor(u)
+
+    def test_each_node_owns_its_buffers(self, block_entries):
+        graph = _graph("weighted", seed=16)
+        model = Node2VecModel(0.5, 2.0)
+        nodes = np.flatnonzero(graph.degrees > 0)
+        owners = set()
+        for sampler in build_node_samplers(SamplerKind.ALIAS, graph, model, nodes):
+            bases = {id(array.base) for array in _table_arrays(sampler)}
+            assert len(bases) == 2  # one probability and one alias buffer
+            assert not bases & owners
+            owners |= bases
+
+    def test_supplied_factors_are_kept(self):
+        graph = _graph("unit", seed=17)
+        model = AutoregressiveModel(0.3)
+        factors = np.linspace(0.1, 0.9, graph.degree(0))
+        sampler = RejectionNodeSampler(graph, model, 0, factors=factors)
+        for u, factor in zip(graph.neighbors(0).tolist(), factors):
+            assert sampler.acceptance_factor(u) == factor
+
+    @pytest.mark.parametrize(
+        "model", [Node2VecModel(0.5, 2.0), AutoregressiveModel(0.3)],
+        ids=["bounded", "exact-factors"],
+    )
+    def test_msan_records_as_scalar_builds(self, model, block_entries):
+        # The scalar builds traced one alias_table per table, then the
+        # node's state, with real nbytes; the block builds must too.
+        graph = _graph("weighted", seed=18)
+        nodes = np.flatnonzero(graph.degrees > 0)[:40]
+        with msan_trace() as tracer:
+            build_node_samplers(SamplerKind.ALIAS, graph, model, nodes)
+            build_node_samplers(SamplerKind.REJECTION, graph, model, nodes)
+        expected = []
+        for v in nodes.tolist():
+            d = float(graph.degree(v))
+            expected += [("alias_table", 16 * d, None)] * (graph.degree(v) + 1)
+            expected.append(("alias_state", 16 * d * (d + 1), None))
+        bounded = model.max_ratio_bound(graph) is not None
+        for v in nodes.tolist():
+            d = float(graph.degree(v))
+            expected.append(("alias_table", 16 * d, None))
+            expected.append(
+                ("rejection_state", 16 * d if bounded else 24 * d,
+                 "bounded" if bounded else None)
+            )
+        got = [(r.structure, r.nbytes, r.variant) for r in tracer.records]
+        assert got == expected
+        assert verify_records(tracer.records) == []

@@ -12,6 +12,7 @@ from repro import (
     compute_bounding_constants,
 )
 from repro.exceptions import InfeasibleBudgetError, OptimizerError
+from repro.graph import barabasi_albert_graph
 from repro.framework import (
     AliasNodeSampler,
     NaiveNodeSampler,
@@ -128,6 +129,38 @@ class TestDynamicBudget:
         fw.set_budget(2e6)
         walk = fw.walk(0, 10, rng)
         assert len(walk) == 11
+
+    def test_oom_during_update_leaves_framework_intact(self):
+        # Regression: set_budget used to drop and rebuild samplers node by
+        # node, so an OOM half-way left the budget raised, samplers out of
+        # step with the assignment, a node without a sampler and the meter
+        # over-charged.  It now charges the new footprint first and rolls
+        # back on failure.
+        graph = barabasi_albert_graph(300, 4, rng=3)
+        fw = MemoryAwareFramework(
+            graph, Node2VecModel(0.25, 4), 2e4, physical_memory=6e4
+        )
+        samplers = [fw.sampler(v) for v in graph.nodes()]
+        assignment = fw.assignment.samplers.copy()
+        used, peak, ledger = fw.meter.used_bytes, fw.meter.peak_bytes, fw.meter.ledger
+        with pytest.raises(SimulatedOOMError):
+            fw.set_budget(1e6)
+        assert fw.budget == 2e4
+        assert fw._adaptive.budget == 2e4
+        assert np.array_equal(fw.assignment.samplers, assignment)
+        assert all(fw.sampler(v) is s for v, s in zip(graph.nodes(), samplers))
+        assert fw.meter.used_bytes == used
+        assert fw.meter.peak_bytes == peak
+        assert fw.meter.ledger == ledger
+        # The framework still adapts once memory allows it.
+        fw.meter.physical_bytes = None
+        update, _ = fw.set_budget(1e6)
+        assert update.steps_applied > 0
+        kinds = [None if s is None else s.kind for s in map(fw.sampler, graph.nodes())]
+        assert kinds == [SamplerKind(k) for k in fw.assignment.samplers]
+        assert fw.meter.used_bytes == pytest.approx(
+            fw.assignment.used_memory, rel=1e-9
+        )
 
     def test_degree_optimizer_rejects_dynamic(self, medium_graph, nv_model):
         fw = MemoryAwareFramework(

@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     AutoregressiveModel,
+    CSRGraph,
     FirstOrderModel,
     Node2VecModel,
     available_models,
@@ -12,6 +13,7 @@ from repro import (
     register_model,
 )
 from repro.exceptions import ModelError
+from repro.graph import barabasi_albert_graph
 from repro.models import SecondOrderModel
 
 
@@ -136,6 +138,117 @@ class TestAutoregressive:
     def test_e2e_distribution_normalised(self, weighted_graph, auto_model):
         p = auto_model.e2e_distribution(weighted_graph, 1, 2)
         assert p.sum() == pytest.approx(1.0)
+
+
+class TestBatchedMethods:
+    """The vectorised batch methods are bit-identical to the scalar ones,
+    state by state, on unit-weight, weighted and directed graphs."""
+
+    @pytest.fixture(params=["unit", "weighted", "directed"])
+    def graph(self, request):
+        rng = np.random.default_rng(5)
+        base = barabasi_albert_graph(150, 3, rng=5)
+        if request.param == "unit":
+            return base
+        weights = rng.random(base.num_edges) + 0.05
+        if request.param == "weighted":
+            return CSRGraph(base.indptr, base.indices, weights)
+        keep = rng.random(base.num_edges) < 0.7
+        rows = np.repeat(np.arange(base.num_nodes), base.degrees)
+        return CSRGraph.from_edges(
+            np.stack([rows[keep], base.indices[keep]], axis=1),
+            weights[keep],
+            num_nodes=base.num_nodes,
+            undirected=False,
+        )
+
+    @pytest.fixture(
+        params=[Node2VecModel(0.25, 4.0), AutoregressiveModel(0.3)],
+        ids=["node2vec", "autoregressive"],
+    )
+    def model(self, request):
+        return request.param
+
+    @staticmethod
+    def _states(graph, count=200, seed=0):
+        rng = np.random.default_rng(seed)
+        vs = rng.choice(np.flatnonzero(graph.degrees > 0), size=count)
+        # Previous nodes: mostly in-row, some anywhere (directed restarts).
+        us = np.array(
+            [
+                rng.choice(graph.neighbors(v)) if rng.random() < 0.8
+                else rng.integers(graph.num_nodes)
+                for v in vs
+            ]
+        )
+        return us, vs
+
+    def test_biased_weights_many(self, graph, model):
+        us, vs = self._states(graph)
+        flat, sizes = model.biased_weights_many(graph, us, vs)
+        assert np.array_equal(sizes, graph.degrees[vs])
+        scalar = [
+            model.biased_weight(graph, int(u), int(v), int(z))
+            for u, v in zip(us, vs)
+            for z in graph.neighbors(v)
+        ]
+        assert np.array_equal(flat, scalar)
+
+    def test_target_ratio_bulk(self, graph, model):
+        us, vs = self._states(graph)
+        rng = np.random.default_rng(1)
+        zs = np.array([rng.choice(graph.neighbors(v)) for v in vs])
+        bulk = model.target_ratio_bulk(graph, us, vs, zs)
+        scalar = [
+            model.target_ratio(graph, int(u), int(v), int(z))
+            for u, v, z in zip(us, vs, zs)
+        ]
+        assert np.array_equal(bulk, scalar)
+
+    def test_autoregressive_bulk_rejects_non_edge(self, graph):
+        model = AutoregressiveModel(0.3)
+        v = int(np.flatnonzero(graph.degrees > 0)[0])
+        z = int(np.setdiff1d(np.arange(graph.num_nodes), graph.neighbors(v))[0])
+        u = int(graph.neighbors(v)[0])
+        with pytest.raises(ModelError) as scalar:
+            model.target_ratio(graph, u, v, z)
+        with pytest.raises(ModelError) as bulk:
+            model.target_ratio_bulk(graph, [u, u], [v, v], [graph.neighbors(v)[0], z])
+        assert str(bulk.value) == str(scalar.value)
+
+    def test_target_ratios_many_full_rows(self, graph, model):
+        us, vs = self._states(graph)
+        flat, sizes = model.target_ratios_many(graph, us, vs)
+        scalar = [model.target_ratios(graph, int(u), int(v)) for u, v in zip(us, vs)]
+        assert np.array_equal(sizes, [len(r) for r in scalar])
+        assert np.array_equal(flat, np.concatenate(scalar))
+
+    def test_target_ratios_many_candidates(self, graph, model):
+        us, vs = self._states(graph)
+        rng = np.random.default_rng(2)
+        rows = [
+            np.sort(rng.choice(graph.neighbors(v), size=min(3, graph.degree(v)), replace=False))
+            for v in vs
+        ]
+        sizes = np.array([len(r) for r in rows])
+        flat, got_sizes = model.target_ratios_many(
+            graph, us, vs, (np.concatenate(rows), sizes)
+        )
+        scalar = [
+            model.target_ratios_subset(graph, int(u), int(v), r)
+            for u, v, r in zip(us, vs, rows)
+        ]
+        assert np.array_equal(got_sizes, sizes)
+        assert np.array_equal(flat, np.concatenate(scalar))
+
+    def test_base_default_loops_per_state(self, graph):
+        # A model without overrides goes through the per-state calls.
+        model = FirstOrderModel()
+        us, vs = self._states(graph, count=20)
+        flat, sizes = model.target_ratios_many(graph, us, vs)
+        assert np.array_equal(
+            flat, np.concatenate([model.target_ratios(graph, int(u), int(v)) for u, v in zip(us, vs)])
+        )
 
 
 class TestFirstOrder:
