@@ -18,6 +18,14 @@ Each scale also records the framework set-up the walks depend on, by
 layer: exact bounding constants, the optimizer, and sampler-table
 construction (``setup`` in the output, seconds).
 
+The numpy run of the assignment-aware engine also counts its rejection
+work (``rejection`` in the output): rounds, the e2e steps that ran at
+least one round, proposals checked and proposals accepted.  The counts
+come from a :class:`~repro.walks.kernels.KernelBackend` whose
+``acceptance_mask`` and ``advance_frontier`` are wrapped: each
+``acceptance_mask`` call is one rejection round, and ``advance_frontier``
+closes a step.
+
 Methodology: batch engines run the full workload in frontier chunks; the
 scalar engine walks start nodes under a wall-clock budget and its rate is
 extrapolated from the walks it completed (flagged ``extrapolated`` in the
@@ -45,11 +53,13 @@ the numbers directly comparable across CI runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -66,6 +76,7 @@ from repro import (
 from repro.cost import SamplerKind
 from repro.graph.generators import barabasi_albert_graph
 from repro.walks import BatchWalkEngine
+from repro.walks.kernels import KernelBackend, resolve_backend
 
 #: starts handed to one walk_chunk call; bounds frontier memory.
 BATCH_CHUNK = 4096
@@ -86,6 +97,48 @@ def numba_version() -> "str | None":
     import numba
 
     return str(numba.__version__)
+
+
+def counting_backend(base: KernelBackend, counts: Counter) -> KernelBackend:
+    """``base`` with its rejection work counted into ``counts``.
+
+    Each ``acceptance_mask`` call is one rejection round and checks one
+    proposal per mask entry; ``advance_frontier`` closes a step, which
+    counts as a rejection step when at least one round ran in it.
+    """
+    in_step = [False]
+
+    def acceptance_mask(*args):
+        mask = base.acceptance_mask(*args)
+        counts["rounds"] += 1
+        counts["proposals"] += len(mask)
+        counts["accepted"] += int(np.count_nonzero(mask))
+        in_step[0] = True
+        return mask
+
+    def advance_frontier(*args):
+        base.advance_frontier(*args)
+        if in_step[0]:
+            counts["steps"] += 1
+            in_step[0] = False
+
+    return dataclasses.replace(
+        base, acceptance_mask=acceptance_mask, advance_frontier=advance_frontier
+    )
+
+
+def rejection_summary(counts: Counter) -> dict:
+    """Rounds per rejection step, proposals and acceptance from counts."""
+    steps, proposals = counts["steps"], counts["proposals"]
+    return {
+        "rounds": int(counts["rounds"]),
+        "steps": int(steps),
+        "rounds_per_step": round(counts["rounds"] / steps, 2) if steps else None,
+        "proposals": int(proposals),
+        "acceptance": (
+            round(counts["accepted"] / proposals, 4) if proposals else None
+        ),
+    }
 
 
 def build_graph(num_nodes: int, *, attach: int = 5, seed: int = 0):
@@ -177,14 +230,19 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
     configs["batched_naive"] = (done, secs, trunc, "numpy")
 
     aware_engine = None
+    rejection_counts: Counter = Counter()
     for backend in kernel_backends():
-        aware_engine = framework.batch_engine(backend=backend)
+        resolved = resolve_backend(backend)
+        if backend == "numpy":
+            resolved = counting_backend(resolved, rejection_counts)
+        aware_engine = framework.batch_engine(backend=resolved)
         # One tiny untimed chunk first: a compiled backend JITs (or loads
         # its on-disk cache) on first call, and that cost is setup, not
         # steady-state throughput.
         aware_engine.walk_chunk(
             starts[:8], num_walks=1, length=4, rng=np.random.default_rng(0)
         )
+        rejection_counts.clear()
         done, secs, trunc = bench_batch(
             aware_engine, starts, num_walks, length, time_budget
         )
@@ -218,6 +276,7 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         "setup": setup,
         "engines": engines,
         "cache": cache_stats,
+        "rejection": rejection_summary(rejection_counts),
         "speedup_batch_vs_scalar": (
             round(aware_rate / scalar_rate, 2) if scalar_rate else None
         ),
@@ -293,6 +352,12 @@ def main(argv=None) -> int:
                 f"{'  (extrapolated)' if stats['extrapolated'] else ''}"
             )
         print(f"  speedup (aware batch / scalar): {entry['speedup_batch_vs_scalar']}")
+        rejection = entry["rejection"]
+        print(
+            f"  rejection: {rejection['rounds_per_step']} rounds/step over "
+            f"{rejection['steps']} steps, {rejection['proposals']} proposals, "
+            f"acceptance {rejection['acceptance']}"
+        )
         setup = entry["setup"]
         print(
             f"  set-up: bounding {setup['bounding_s']} s, optimize "
