@@ -27,7 +27,7 @@ zero — the property the hash-pinned engine tests lock down.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, TypeVar
+from typing import Generic, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +44,12 @@ def _msan_trace(structure: str, nbytes: int, **dims: float) -> None:
     from ..analysis.msan import trace_alloc
 
     trace_alloc(structure, nbytes, **dims)
+
+
+def _msan_active() -> bool:
+    from ..analysis.msan import tracing_active
+
+    return tracing_active()
 
 
 class ByteLRUCache(Generic[K, V]):
@@ -119,13 +125,23 @@ class ByteLRUCache(Generic[K, V]):
         A hit refreshes the entry's recency; both outcomes update the
         hit/miss counters.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[K]) -> list[V | None]:
+        """:meth:`get` over ``keys`` in order: the same values, recency
+        and counters as one call per key."""
+        entries = self._entries
+        found: list[V | None] = []
+        hits = 0
+        for key in keys:
+            entry = entries.get(key)
+            if entry is not None:
+                entries.move_to_end(key)
+                hits += 1
+            found.append(entry)
+        self.hits += hits
+        self.misses += len(found) - hits
+        return found
 
     def peek(self, key: K) -> V | None:
         """The cached value under ``key`` without touching recency or
@@ -139,30 +155,43 @@ class ByteLRUCache(Generic[K, V]):
         cannot fit even an empty cache (or the cache is disabled).  Never
         lets :attr:`used_bytes` exceed the budget.
         """
+        return self.put_many([key], [value])[0]
+
+    def put_many(self, keys: Sequence[K], values: Sequence[V]) -> list[bool]:
+        """:meth:`put` over aligned ``keys`` and ``values`` in order: the
+        same entries, recency, counters and peak as one call per key.
+        The memory sanitizer's switch is read once per batch."""
         if not self.enabled:
             # A zero-byte payload would otherwise slip into a disabled
             # cache ("cost 0 fits budget 0") and turn lookups into hits.
-            return False
-        cost = self.entry_bytes(value)
-        if cost > self.budget.total_bytes:
-            return False
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._used -= self.entry_bytes(old)
-        while self._used + cost > self.budget.total_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= self.entry_bytes(evicted)
-            self.evictions += 1
-        self._entries[key] = value
-        self._used += cost
-        if self._used > self.budget.total_bytes:  # pragma: no cover
-            raise BudgetError("byte-budgeted cache exceeded its budget")
-        self._peak = max(self._peak, self._used)
-        if self._msan_structure is not None:
-            dims = self._msan_dims(value)
-            if dims is not None:
-                _msan_trace(self._msan_structure, int(cost), **dims)
-        return True
+            return [False] * len(keys)
+        total = self.budget.total_bytes
+        entries = self._entries
+        traced = self._msan_structure is not None and _msan_active()
+        stored = []
+        for key, value in zip(keys, values):
+            cost = self.entry_bytes(value)
+            if cost > total:
+                stored.append(False)
+                continue
+            old = entries.pop(key, None)
+            if old is not None:
+                self._used -= self.entry_bytes(old)
+            while self._used + cost > total:
+                _, evicted = entries.popitem(last=False)
+                self._used -= self.entry_bytes(evicted)
+                self.evictions += 1
+            entries[key] = value
+            self._used += cost
+            if self._used > total:  # pragma: no cover
+                raise BudgetError("byte-budgeted cache exceeded its budget")
+            self._peak = max(self._peak, self._used)
+            if traced:
+                dims = self._msan_dims(value)
+                if dims is not None:
+                    _msan_trace(self._msan_structure, int(cost), **dims)
+            stored.append(True)
+        return stored
 
     def clear(self) -> None:
         """Drop every entry (counters are retained)."""

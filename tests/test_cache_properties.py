@@ -16,6 +16,7 @@ accounting invariants the memory-cost contracts rely on:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.msan import msan_trace
 from repro.walks.cache import ByteLRUCache, EdgeStateCache
 
 KEYS = st.integers(min_value=0, max_value=7)
@@ -166,3 +167,62 @@ class TestByteAccountingProperties:
         stored = cache.put("big", payload)
         assert stored == (payload.nbytes <= budget)
         assert cache.used_bytes == (payload.nbytes if stored else 0)
+
+
+#: one batch: ("put", [(key, payload_elements), ...]) | ("get", [key, ...])
+#: | ("clear",)
+BATCHES = st.one_of(
+    st.tuples(
+        st.just("put"),
+        st.lists(
+            st.tuples(KEYS, st.integers(min_value=0, max_value=40)), max_size=8
+        ),
+    ),
+    st.tuples(st.just("get"), st.lists(KEYS, max_size=8)),
+    st.tuples(st.just("clear")),
+)
+
+
+def _cache_state(cache):
+    """Everything observable: entries in LRU order, bytes and counters."""
+    return (
+        [(key, id(value)) for key, value in cache._entries.items()],
+        cache.used_bytes,
+        cache.peak_bytes,
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+    )
+
+
+class TestBatchedCalls:
+    @settings(max_examples=150, deadline=None)
+    @given(budget=BUDGETS, batches=st.lists(BATCHES, max_size=12))
+    def test_batches_equal_one_key_at_a_time(self, budget, batches):
+        """``get_many``/``put_many`` leave the same entries, LRU order,
+        counters, peak and sanitizer records as one call per key."""
+        batched, single = EdgeStateCache(budget), EdgeStateCache(budget)
+        batched_records, single_records = [], []
+        for batch in batches:
+            if batch[0] == "put":
+                keys = [key for key, _ in batch[1]]
+                values = [
+                    np.full(elements, float(key)) for key, elements in batch[1]
+                ]
+                with msan_trace() as tracer:
+                    got = batched.put_many(keys, values)
+                batched_records += tracer.records
+                with msan_trace() as tracer:
+                    want = [single.put(k, v) for k, v in zip(keys, values)]
+                single_records += tracer.records
+            elif batch[0] == "get":
+                got = [id(v) for v in batched.get_many(batch[1])]
+                want = [id(single.get(key)) for key in batch[1]]
+            else:
+                batched.clear()
+                single.clear()
+                got = want = None
+            assert got == want
+            assert _cache_state(batched) == _cache_state(single)
+            assert batched.used_bytes <= batched.budget.total_bytes
+        assert batched_records == single_records
