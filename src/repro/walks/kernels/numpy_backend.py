@@ -175,8 +175,9 @@ def acceptance_mask(
 ) -> npt.NDArray[np.bool_]:
     """Rejection-round acceptance test: ``u <= min(1, ratio * factor)``.
 
-    One boolean per pending walker; the engine loops rejection rounds
-    over the (geometrically shrinking) ``False`` remainder.
+    One boolean per proposal; the engine gives each pending walker
+    several proposals per round and loops rounds over the walkers with
+    none accepted.
     """
     # kcc: dims=ratios:W,factors:W,uniforms:W
     acceptance = xp.minimum(1.0, ratios * factors)
