@@ -4,6 +4,11 @@ The paper's framework organises the graph in CSR format (Section 5.4).  The
 adjacency list of every node is kept **sorted by neighbour id**, which gives
 ``O(log d)`` edge-existence checks via binary search — exactly the
 common-neighbour check the cost model prices at ``c = log(d_v)``.
+
+Batched lookups (:meth:`CSRGraph.edge_ids`) put a hashed bit filter in
+front of one exact search, so the pairs that are not edges — almost all of
+node2vec's common-neighbour checks — cost a constant number of array
+operations each, whatever ``|E|``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,23 @@ def segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ends = np.cumsum(sizes)
     total = int(ends[-1]) if len(ends) else 0
     return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - sizes), sizes)
+
+
+#: Fibonacci hashing multiplier: ``2**64`` over the golden ratio, odd.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+#: Edge-filter bits per stored edge, before rounding the table up to a
+#: power of two; one hash per key gives ``1 - exp(-1/32)`` ≈ 3% false
+#: positives at this density.
+_FILTER_BITS_PER_EDGE = 32
+
+
+def _filter_slots(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Fibonacci hash of the (non-negative ``int64``) composite keys: the
+    top ``64 - shift`` bits of ``key · _FIBONACCI`` in wrapping ``uint64``
+    arithmetic, as ``int64`` (``shift >= 1``, so no sign bit is set)."""
+    product = keys.view(np.uint64) * _FIBONACCI
+    return (product >> np.uint64(shift)).view(np.int64)
 
 
 class CSRGraph:
@@ -52,6 +74,9 @@ class CSRGraph:
         "_weight_sums",
         "_is_unit_weight",
         "_edge_keys",
+        "_edge_filter",
+        "_filter_shift",
+        "_reverse",
     )
 
     def __init__(
@@ -77,6 +102,9 @@ class CSRGraph:
         prefix = np.concatenate(([0.0], np.cumsum(self.weights, dtype=np.float64)))
         self._weight_sums = prefix[self.indptr[1:]] - prefix[self.indptr[:-1]]
         self._edge_keys: np.ndarray | None = None
+        self._edge_filter: np.ndarray | None = None
+        self._filter_shift = 64
+        self._reverse: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # validation
@@ -100,11 +128,15 @@ class CSRGraph:
             raise GraphFormatError("neighbour id out of range")
         if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
             raise GraphFormatError("edge weights must be finite and non-negative")
-        # sortedness within rows
-        for v in range(self.num_nodes):
-            row = self.indices[self.indptr[v] : self.indptr[v + 1]]
-            if len(row) > 1 and np.any(np.diff(row) < 0):
-                raise GraphFormatError(f"adjacency of node {v} is not sorted")
+        # sortedness within rows: a descent is allowed only where a row starts
+        descents = np.diff(self.indices) < 0
+        row_starts = self.indptr[1:-1]
+        inner = row_starts[(row_starts > 0) & (row_starts < len(self.indices))]
+        descents[inner - 1] = False
+        unsorted = np.flatnonzero(descents)
+        if unsorted.size:
+            v = int(np.searchsorted(self.indptr, unsorted[0], side="right")) - 1
+            raise GraphFormatError(f"adjacency of node {v} is not sorted")
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -211,25 +243,31 @@ class CSRGraph:
             result[ok] = row[pos[ok]] == targets[ok]
         return result
 
+    def edge_ids(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Vectorised edge lookup over aligned pairs: for each
+        ``(sources[i], targets[i])``, the flat CSR index of the edge in
+        ``indices``, or ``-1`` if it is not stored.
+
+        A hashed bit filter over the composite keys ``u * |V| + z``
+        answers first: a pair whose bit is clear is certainly no edge.
+        Only the survivors — the edges plus ~3% false positives — reach
+        one ``searchsorted`` over the sorted key view, so the answer is
+        exact, and non-edges cost the same whatever ``|E|``.  Both
+        structures are built lazily, once per graph.
+        """
+        count, maybe, pos, hit = self._probe(sources, targets)
+        ids = np.full(count, -1, dtype=np.int64)
+        ids[maybe[hit]] = pos[hit]
+        return ids
+
     def has_edge_pairs(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorised edge-existence over aligned ``(sources[i], targets[i])``
-        pairs — one ``searchsorted`` call for the whole batch.
-
-        Lazily builds (and keeps) a globally sorted composite-key view of
-        the adjacency (``u * |V| + z`` per stored edge, ``O(|E|)`` int64),
-        which is sorted because rows are ascending and each row's
-        neighbours are sorted.  The batch walk engine's frontier-wide
-        node2vec classification is the hot caller.
-        """
-        keys = self._ensure_edge_keys()
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        queries = sources * self.num_nodes + targets
-        pos = np.searchsorted(keys, queries)
-        ok = pos < len(keys)
-        result = np.zeros(len(queries), dtype=bool)
-        if ok.any():
-            result[ok] = keys[pos[ok]] == queries[ok]
+        pairs — :meth:`edge_ids` ``>= 0``, read off the same probe.
+        node2vec's common-neighbour checks are the hot caller, and almost
+        all of their pairs are no edge, so the bit filter answers them."""
+        count, maybe, _, hit = self._probe(sources, targets)
+        result = np.zeros(count, dtype=bool)
+        result[maybe] = hit
         return result
 
     def edge_positions(
@@ -237,46 +275,95 @@ class CSRGraph:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised CSR row positions over aligned pairs: for each
         ``(sources[i], targets[i])``, the index of ``targets[i]`` within
-        ``neighbors(sources[i])`` plus a found mask.
+        ``neighbors(sources[i])`` plus a found mask — :meth:`edge_ids`
+        minus the row start.
 
-        Positions are meaningful only where ``found`` is ``True``.  Because
-        the composite keys are built in CSR order, a key's rank in the
-        sorted view *is* its flat CSR position, so the in-row index is one
-        subtraction away.  The batch walk engine uses this to address its
-        consolidated per-incoming-edge alias tables.
+        Positions are meaningful only where ``found`` is ``True``.
         """
-        keys = self._ensure_edge_keys()
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        queries = sources * self.num_nodes + targets
-        pos = np.searchsorted(keys, queries)
-        if len(keys):
-            found = keys[np.minimum(pos, len(keys) - 1)] == queries
-            found &= pos < len(keys)
-        else:
-            found = np.zeros(len(queries), dtype=bool)
-        return pos - self.indptr[sources], found
+        ids = self.edge_ids(sources, targets)
+        return ids - self.indptr[np.asarray(sources, dtype=np.int64)], ids >= 0
+
+    def reverse_edges(self) -> np.ndarray:
+        """For each stored edge ``v -> z`` (by flat CSR index), the flat
+        index of ``z -> v``, or ``-1`` where the reverse is not stored.
+
+        Built lazily, once per graph (``|E|`` int64).  On a symmetric graph
+        it is an involution.  The batch walk engine turns a walker's last
+        hop ``u -> v`` into ``u``'s position in ``N(v)`` with it: one
+        gather, no search.
+        """
+        if self._reverse is None:
+            self._reverse = self.edge_ids(self.indices, self._edge_sources())
+        return self._reverse
+
+    def _edge_sources(self) -> np.ndarray:
+        """Source node of every stored edge, in CSR order."""
+        return np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
+        )
 
     def _ensure_edge_keys(self) -> np.ndarray:
         """The lazily-built composite-key view ``u * |V| + z`` per stored
         edge — globally sorted because rows are ascending and each row's
-        neighbours are sorted."""
+        neighbours are sorted, so a key's rank is its flat CSR index —
+        plus one trailing sentinel above every key, so an insertion point
+        is always a valid index."""
         if self._edge_keys is None:
-            rows = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
-            )
-            self._edge_keys = rows * self.num_nodes + self.indices
+            keys = self._edge_sources() * self.num_nodes + self.indices
+            self._edge_keys = np.append(keys, np.iinfo(np.int64).max)
         return self._edge_keys
+
+    def _probe(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The lookup behind :meth:`edge_ids`: the pair count, the indices
+        of the pairs the filter lets through, their insertion points in
+        the key view, and which of them are stored edges (there, the
+        insertion point is the flat CSR index)."""
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        queries = sources * self.num_nodes + targets
+        maybe = self._filter_survivors(queries)
+        candidates = queries[maybe]
+        keys = self._ensure_edge_keys()
+        pos = np.searchsorted(keys, candidates)
+        return len(queries), maybe, pos, keys[pos] == candidates
+
+    def _filter_survivors(self, queries: np.ndarray) -> np.ndarray:
+        """Indices of the composite-key ``queries`` whose filter bit is
+        set: every stored edge among them, plus the false positives."""
+        words = self._ensure_edge_filter()
+        slots = _filter_slots(queries, self._filter_shift)
+        return np.flatnonzero((words[slots >> 6] << (slots & 63)) < 0)
+
+    def _ensure_edge_filter(self) -> np.ndarray:
+        """The lazily-built bit filter over the composite keys: one bit per
+        Fibonacci-hash slot, ``_FILTER_BITS_PER_EDGE`` bits per stored edge
+        rounded up to a power of two (at least one 64-bit word).
+
+        Slot ``s`` is bit ``s % 64`` of word ``s // 64``, counted from the
+        sign bit down, so a left shift by ``s % 64`` moves it to the sign
+        bit: the lookup tests it with one shift and one comparison.
+        """
+        if self._edge_filter is None:
+            keys = self._ensure_edge_keys()[:-1]
+            bits = max(6, (_FILTER_BITS_PER_EDGE * len(keys) - 1).bit_length())
+            self._filter_shift = 64 - bits
+            slots = _filter_slots(keys, self._filter_shift)
+            words = np.zeros(1 << (bits - 6), dtype=np.int64)
+            np.bitwise_or.at(words, slots >> 6, np.left_shift(1, 63 - (slots & 63)))
+            self._edge_filter = words
+        return self._edge_filter
 
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
     def is_symmetric(self) -> bool:
         """Whether every stored edge has its reverse stored with equal weight."""
-        for u, v, w in self.edges():
-            if abs(self.edge_weight(v, u, default=np.nan) - w) > 1e-12 or not self.has_edge(v, u):
-                return False
-        return True
+        reverse = self.reverse_edges()
+        if np.any(reverse < 0):
+            return False
+        return bool(np.all(np.abs(self.weights[reverse] - self.weights) <= 1e-12))
 
     def memory_bytes(self, int_bytes: int = 4, float_bytes: int = 4) -> int:
         """Modeled size ``M_g`` of the CSR structure.

@@ -25,7 +25,9 @@ memory the optimizer paid for is actually exploited on the hot path:
   (more as fewer walkers remain) and a walker takes its first accepted
   one, so a step needs few rounds even at low acceptance;
 * **alias** nodes gather their pre-built e2e tables and resolve every
-  walker with two uniform draws, no distribution rebuilds at all;
+  walker with two uniform draws, no distribution rebuilds at all.  Each
+  walker carries the flat CSR index of its last hop, and the reverse of
+  that edge addresses its table: no edge search on the step;
 * custom samplers fall back to the per-group
   :meth:`~repro.framework.NodeSampler.sample_batch` API.
 
@@ -144,6 +146,10 @@ class BatchWalkEngine:
         self._kind_of = kind_of
         self._global_bound = model.max_ratio_bound(graph)
         self._consolidate_tables()
+        if self._e2e_base is not None or self._n2e_factor is not None:
+            # Table addressing by the carried hop (see _arrival_offsets)
+            # reads the graph's reverse-edge index: build it with the tables.
+            graph.reverse_edges()
         self._dispatch_groups = {name: 0 for name in _KIND_NAMES.values()}
         self._dispatch_walkers = {name: 0 for name in _KIND_NAMES.values()}
         self._steps = 0
@@ -162,7 +168,9 @@ class BatchWalkEngine:
           ``degree(v)`` entries wide — also the proposal table of every
           e2e rejection round;
         * ``_e2e_base[v] + i * degree(v)`` addresses the e2e table of an
-          alias node ``v`` for walks arriving from its ``i``-th neighbour;
+          alias node ``v`` for walks arriving from its ``i``-th neighbour
+          (``i`` comes from the walker's carried hop, see
+          :meth:`_arrival_offsets`);
         * ``_n2e_factor[_n2e_base[v] + i]`` is rejection node ``v``'s
           acceptance factor for walks arriving from its ``i``-th
           neighbour, held only when the model has no closed-form bound
@@ -366,6 +374,9 @@ class BatchWalkEngine:
         active = degrees[walkers] > 0
         current = walkers.copy()
         previous = np.full(n_walkers, -1, dtype=np.int64)
+        # Flat CSR index of each walker's last hop previous -> current, or
+        # -1 where a fallback sampler (which returns node ids) took it.
+        edge = np.full(n_walkers, -1, dtype=np.int64)
 
         for t in range(1, length + 1):
             idx = np.flatnonzero(active).astype(np.int64, copy=False)
@@ -373,9 +384,9 @@ class BatchWalkEngine:
                 break
             self._steps += 1
             if t == 1:
-                self._step_n2e(idx, current, trails, gen)
+                self._step_n2e(idx, current, edge, trails, gen)
             else:
-                self._step_e2e(idx, previous, current, trails, t, gen)
+                self._step_e2e(idx, previous, current, edge, trails, t, gen)
             self.backend.advance_frontier(
                 idx, trails[:, t], previous, current, active, degrees
             )
@@ -385,6 +396,7 @@ class BatchWalkEngine:
         self,
         idx: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         gen: np.random.Generator,
     ) -> None:
@@ -395,18 +407,19 @@ class BatchWalkEngine:
             if len(sub) == 0:
                 continue
             if bucket == _NAIVE:
-                self._n2e_naive(sub, current, trails, gen)
+                self._n2e_naive(sub, current, edge, trails, gen)
             elif bucket == _FALLBACK:
-                self._n2e_fallback(sub, current, trails, gen)
+                self._n2e_fallback(sub, current, edge, trails, gen)
             else:
                 # Rejection and alias nodes both hold an n2e alias table.
-                self._n2e_alias(sub, current, trails, gen, bucket)
+                self._n2e_alias(sub, current, edge, trails, gen, bucket)
 
     def _step_e2e(
         self,
         idx: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
@@ -418,13 +431,13 @@ class BatchWalkEngine:
             if len(sub) == 0:
                 continue
             if bucket == _NAIVE:
-                self._e2e_naive(sub, previous, current, trails, t, gen)
+                self._e2e_naive(sub, previous, current, edge, trails, t, gen)
             elif bucket == _REJECTION:
-                self._e2e_rejection(sub, previous, current, trails, t, gen)
+                self._e2e_rejection(sub, previous, current, edge, trails, t, gen)
             elif bucket == _ALIAS:
-                self._e2e_alias(sub, previous, current, trails, t, gen)
+                self._e2e_alias(sub, previous, current, edge, trails, t, gen)
             else:
-                self._e2e_fallback(sub, previous, current, trails, t, gen)
+                self._e2e_fallback(sub, previous, current, edge, trails, t, gen)
 
     # ------------------------------------------------------------------
     # naive path: segmented inverse-CDF over on-demand distributions
@@ -433,6 +446,7 @@ class BatchWalkEngine:
         self,
         sub: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         gen: np.random.Generator,
     ) -> None:
@@ -450,7 +464,7 @@ class BatchWalkEngine:
             raise WalkError(
                 f"distribution at node {int(vs[bad])} has zero total mass"
             )
-        trails[sub, 1] = self.graph.indices[starts[group] + picks]
+        self._take_hops(sub, starts[group] + picks, edge, trails, 1)
         self._count("naive", len(vs), len(sub))
 
     def _e2e_naive(
@@ -458,6 +472,7 @@ class BatchWalkEngine:
         sub: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
@@ -477,7 +492,7 @@ class BatchWalkEngine:
             raise WalkError(
                 f"distribution at node {int(vs[bad])} has zero total mass"
             )
-        trails[sub, t] = self.graph.indices[indptr[vs][group] + picks]
+        self._take_hops(sub, indptr[vs][group] + picks, edge, trails, t)
         self._count("naive", len(uk), len(sub))
 
     def _materialise_weights(
@@ -523,6 +538,7 @@ class BatchWalkEngine:
         sub: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
@@ -533,7 +549,7 @@ class BatchWalkEngine:
         base_all = self._n2e_base[v_arr]
         d_all = self.graph.degrees[v_arr].astype(np.int64, copy=False)
         starts_all = self.graph.indptr[v_arr]
-        factors = self._acceptance_factors(sub, u_arr, v_arr)
+        factors = self._acceptance_factors(u_arr, v_arr, edge[sub])
 
         result = np.empty(len(sub), dtype=np.int64)
         pending = np.arange(len(sub))
@@ -564,7 +580,8 @@ class BatchWalkEngine:
                 u_column,
                 u_keep,
             )
-            z = self.graph.indices[starts_all[rows] + picks]
+            hops = starts_all[rows] + picks
+            z = self.graph.indices[hops]
             ratios = self.model.target_ratio_bulk(
                 self.graph, u_arr[rows], v_arr[rows], z
             )
@@ -574,27 +591,28 @@ class BatchWalkEngine:
             accepted = accepted.reshape(k, m)
             done = accepted.any(axis=1)
             first = accepted[done].argmax(axis=1)
-            result[pending[done]] = z.reshape(k, m)[done, first]
+            result[pending[done]] = hops.reshape(k, m)[done, first]
             pending = pending[~done]
         if pending.size:
             raise SamplerError(
                 f"batch rejection exceeded {self.max_rejection_rounds} rounds"
             )
-        trails[sub, t] = result
+        self._take_hops(sub, result, edge, trails, t)
         self._count("rejection", self._distinct_nodes(v_arr), len(sub))
 
     def _acceptance_factors(
-        self, sub: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray
+        self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
     ) -> np.ndarray:
         """``1 / max_t r_uvt`` per walker: the model's closed-form bound
         when it has one, else the consolidated per-edge factors addressed
-        by the previous node's position in ``N(v)``.  Arrivals from
-        outside ``N(v)`` (directed graphs only) ask the sampler, once per
-        distinct edge state."""
+        by the previous node's position in ``N(v)`` (see
+        :meth:`_arrival_offsets`).  Arrivals from outside ``N(v)``
+        (directed graphs only) ask the sampler, once per distinct edge
+        state."""
         if self._global_bound is not None:
-            return np.full(len(sub), 1.0 / self._global_bound)
-        offsets, found = self.graph.edge_positions(v_arr, u_arr)
-        factors = np.empty(len(sub), dtype=np.float64)
+            return np.full(len(u_arr), 1.0 / self._global_bound)
+        offsets, found = self._arrival_offsets(u_arr, v_arr, edges)
+        factors = np.empty(len(u_arr), dtype=np.float64)
         positions = self._n2e_base[v_arr[found]] + offsets[found]
         factors[found] = self._n2e_factor[positions]
         if not found.all():
@@ -613,6 +631,22 @@ class BatchWalkEngine:
             factors[outside] = per_state[group]
         return factors
 
+    def _arrival_offsets(
+        self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Position of each walker's previous node ``u`` in ``N(v)``, plus
+        a found mask: the reverse of the carried hop ``u -> v`` is the
+        edge ``v -> u``, so the position is ``rev[edge] - indptr[v]`` — one
+        gather, no search.  Hops a fallback sampler took (``edge = -1``)
+        are looked up with :meth:`CSRGraph.edge_ids`.  ``found`` is false
+        where ``v -> u`` is not stored (one-way edges of a directed
+        graph)."""
+        back = self.graph.reverse_edges()[edges]
+        unknown = np.flatnonzero(edges < 0)
+        if unknown.size:
+            back[unknown] = self.graph.edge_ids(v_arr[unknown], u_arr[unknown])
+        return back - self.graph.indptr[v_arr], back >= 0
+
     # ------------------------------------------------------------------
     # alias path: gathered pre-built tables, two uniforms per walker
     # ------------------------------------------------------------------
@@ -621,6 +655,7 @@ class BatchWalkEngine:
         sub: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
@@ -633,7 +668,7 @@ class BatchWalkEngine:
         # Position of the previous node within N(v) addresses the
         # consolidated table; out-of-neighbourhood arrivals (possible on
         # directed traces) take the on-demand per-state path below.
-        offsets, found = self.graph.edge_positions(v_arr, u_arr)
+        offsets, found = self._arrival_offsets(u_arr, v_arr, edge[sub])
         extra = None
         if not found.all():
             extra = sub[~found]
@@ -649,11 +684,9 @@ class BatchWalkEngine:
             picks = kb.flat_alias_pick(
                 self._e2e_prob, self._e2e_alias_tab, base, d, u_column, u_keep
             )
-            trails[sub, t] = self.graph.indices[
-                self.graph.indptr[v_arr] + picks
-            ]
+            self._take_hops(sub, self.graph.indptr[v_arr] + picks, edge, trails, t)
         if extra is not None:
-            self._e2e_alias_extra(extra, previous, current, trails, t, gen)
+            self._e2e_alias_extra(extra, previous, current, edge, trails, t, gen)
         self._count("alias", groups, total)
 
     def _e2e_alias_extra(
@@ -661,6 +694,7 @@ class BatchWalkEngine:
         sub: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
@@ -684,12 +718,13 @@ class BatchWalkEngine:
         picks = kb.gathered_alias_pick(
             prob_flat, alias_flat, starts_flat, sizes, group, u_column, u_keep
         )
-        trails[sub, t] = self.graph.indices[self.graph.indptr[vs][group] + picks]
+        self._take_hops(sub, self.graph.indptr[vs][group] + picks, edge, trails, t)
 
     def _n2e_alias(
         self,
         sub: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         gen: np.random.Generator,
         bucket: int,
@@ -707,7 +742,7 @@ class BatchWalkEngine:
             u_column,
             u_keep,
         )
-        trails[sub, 1] = self.graph.indices[self.graph.indptr[v_arr] + picks]
+        self._take_hops(sub, self.graph.indptr[v_arr] + picks, edge, trails, 1)
         self._count(_KIND_NAMES[bucket], self._distinct_nodes(v_arr), len(sub))
 
     @staticmethod
@@ -729,6 +764,20 @@ class BatchWalkEngine:
         starts_flat = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         return prob_flat, alias_flat, starts_flat, sizes
 
+    def _take_hops(
+        self,
+        sub: np.ndarray,
+        hops: np.ndarray,
+        edge: np.ndarray,
+        trails: np.ndarray,
+        t: int,
+    ) -> None:
+        """Move walkers ``sub`` along the stored edges ``hops`` (flat CSR
+        indices): the edge is carried to the next step, its target node
+        is the trail's column ``t``."""
+        edge[sub] = hops
+        trails[sub, t] = self.graph.indices[hops]
+
     def _distinct_nodes(self, nodes: np.ndarray) -> int:
         """Distinct-node count by scatter mask — ``O(k + |V|)``, no sort
         (counter bookkeeping must stay off the hot path's critical cost)."""
@@ -743,9 +792,11 @@ class BatchWalkEngine:
         self,
         sub: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         gen: np.random.Generator,
     ) -> None:
+        edge[sub] = -1  # the samplers return node ids, not edges
         order = sub[np.argsort(current[sub], kind="stable")]
         vs, bounds = np.unique(current[order], return_index=True)
         bounds = np.append(bounds, len(order))
@@ -761,10 +812,12 @@ class BatchWalkEngine:
         sub: np.ndarray,
         previous: np.ndarray,
         current: np.ndarray,
+        edge: np.ndarray,
         trails: np.ndarray,
         t: int,
         gen: np.random.Generator,
     ) -> None:
+        edge[sub] = -1  # the samplers return node ids, not edges
         keys = previous[sub] * self._n + current[sub]
         order = sub[np.argsort(keys, kind="stable")]
         sorted_keys = previous[order] * self._n + current[order]

@@ -305,8 +305,9 @@ class _ShardView:
     ) -> np.ndarray:
         """Elementwise edge existence for parallel source/target arrays.
 
-        One composite-key ``searchsorted``, as in
-        :meth:`~repro.graph.CSRGraph.has_edge_pairs`, over keys
+        One composite-key ``searchsorted`` — the exact search of
+        :meth:`~repro.graph.CSRGraph.edge_ids`, without its bit filter —
+        over keys
         ``u * |V| + z`` built per call from the rows of the distinct
         sources only: resident rows from the focus shard, the rest from
         the carried block.

@@ -22,8 +22,9 @@ from repro import (
     SamplerKind,
 )
 from repro.exceptions import SamplerError, WalkError
+from repro.framework import binary_cdf_spec
 from repro.framework.node_samplers import NaiveNodeSampler, build_node_samplers
-from repro.graph import from_edges, powerlaw_cluster_graph
+from repro.graph import CSRGraph, from_edges, powerlaw_cluster_graph
 from repro.walks import BatchWalkEngine, EdgeStateCache, parallel_walks
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import resolve_backend
@@ -399,21 +400,24 @@ class TestRejectionFactors:
         model = AutoregressiveModel(alpha=0.2)
         assert model.max_ratio_bound(graph) is None
         engine = rejection_engine(graph, model)
-        # Every reachable e2e state: an edge u -> v into a non-sink v.
+        # Every reachable e2e state: an edge u -> v into a non-sink v,
+        # carried as its flat CSR index.
         us = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
         vs = graph.indices.astype(np.int64)
         keep = graph.degrees[vs] > 0
-        us, vs = us[keep], vs[keep]
+        us, vs, edges = us[keep], vs[keep], np.flatnonzero(keep)
         outside = ~graph.has_edge_pairs(vs, us)
         assert outside.any() == directed
-        got = engine._acceptance_factors(np.arange(len(us)), us, vs)
         oracle = np.array(
             [
                 engine.samplers[int(v)].acceptance_factor(int(u))
                 for u, v in zip(us, vs)
             ]
         )
-        assert np.array_equal(got, oracle)
+        # Carried hops, and hops a fallback sampler took (edge -1).
+        for carried in (edges, np.full_like(edges, -1)):
+            got = engine._acceptance_factors(us, vs, carried)
+            assert np.array_equal(got, oracle)
         assert not engine.samplers[int(vs[0])].edge_factors.flags.writeable
 
 
@@ -471,6 +475,103 @@ class TestRejectionRounds:
         with pytest.raises(SamplerError, match="exceeded 5 rounds"):
             engine.walks(num_walks=1, length=3, rng=0)
         assert len(rounds) == 5
+
+
+# ----------------------------------------------------------------------
+# carried edge ids: table addressing without edge searches
+# ----------------------------------------------------------------------
+def mixed_samplers(graph, model):
+    """Naive, rejection, alias and a custom ``SamplerSpec``'s sampler, by
+    node id mod 4 (nodes below the spec's minimum degree go to alias)."""
+    spec = binary_cdf_spec()
+    nodes = np.flatnonzero(graph.degrees > 0)
+    share = nodes % 4
+    share[(share == 3) & (graph.degrees[nodes] < spec.min_degree)] = 2
+    samplers = [None] * graph.num_nodes
+    for kind, s in (
+        (SamplerKind.NAIVE, 0),
+        (SamplerKind.REJECTION, 1),
+        (SamplerKind.ALIAS, 2),
+    ):
+        chosen = nodes[share == s]
+        built = build_node_samplers(kind, graph, model, chosen)
+        for v, sampler in zip(chosen.tolist(), built):
+            samplers[v] = sampler
+    for v in nodes[share == 3].tolist():
+        samplers[v] = spec.build(graph, model, v)
+    return samplers
+
+
+class TestCarriedEdges:
+    @pytest.fixture()
+    def edge_position_calls(self, monkeypatch):
+        calls = []
+        original = CSRGraph.edge_positions
+
+        def spy(self, sources, targets):
+            calls.append(len(sources))
+            return original(self, sources, targets)
+
+        monkeypatch.setattr(CSRGraph, "edge_positions", spy)
+        return calls
+
+    def test_node2vec_step_makes_no_edge_position_calls(
+        self, graph, model, edge_position_calls
+    ):
+        """Alias tables and rejection factors are addressed through the
+        carried hop's reverse edge, never by searching for it."""
+        nodes = np.flatnonzero(graph.degrees > 0)
+        samplers = [None] * graph.num_nodes
+        for kind, chosen in (
+            (SamplerKind.ALIAS, nodes[nodes % 2 == 0]),
+            (SamplerKind.REJECTION, nodes[nodes % 2 == 1]),
+        ):
+            for v, sampler in zip(
+                chosen.tolist(), build_node_samplers(kind, graph, model, chosen)
+            ):
+                samplers[v] = sampler
+        engine = BatchWalkEngine(graph, model, samplers)
+        engine.walks(num_walks=4, length=15, rng=8)
+        dispatch = engine.stats()["dispatch"]
+        assert dispatch["alias"]["walkers"] > 0
+        assert dispatch["rejection"]["walkers"] > 0
+        assert edge_position_calls == []
+        graph.edge_positions(nodes[:3], nodes[:3])  # the spy is live
+        assert edge_position_calls == [3]
+
+    #: Corpus hashes of the engine before walkers carried their last hop's
+    #: edge id; the carried ids only replace searches, so they must hold.
+    PINNED = {
+        "autoregressive": "6b51bca33e9d43f0c0b2c1d75da1de7000b1fa1ab51f2da240850a581555dd7f",
+        "node2vec": "1619ce2dd075b177c1a42295b968d128d876cd82dd38cf0cde637cef17e6b67f",
+    }
+
+    @pytest.mark.parametrize(
+        "name,model",
+        [
+            ("autoregressive", AutoregressiveModel(alpha=0.2)),
+            ("node2vec", Node2VecModel(0.5, 2.0)),
+        ],
+    )
+    def test_directed_one_way_edges_with_custom_sampler(self, name, model):
+        """One-way edges (no reverse to address a table by) and custom
+        samplers (which return node ids, so the next step searches for
+        the hop) give the same corpus as before."""
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 60, size=(360, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # Every other pair also goes the other way.
+        graph = from_edges(
+            np.concatenate([pairs, pairs[::2, ::-1]]),
+            num_nodes=60,
+            undirected=False,
+        )
+        assert (graph.reverse_edges() < 0).any()
+        engine = BatchWalkEngine(graph, model, mixed_samplers(graph, model))
+        corpus = engine.walks(num_walks=20, length=12, rng=3)
+        dispatch = engine.stats()["dispatch"]
+        assert all(dispatch[kind]["walkers"] > 0 for kind in dispatch)
+        assert corpus_sha(corpus) == self.PINNED[name]
 
 
 # ----------------------------------------------------------------------
