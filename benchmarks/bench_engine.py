@@ -11,8 +11,7 @@ grown through:
 2. **batched-naive** — :class:`~repro.walks.BatchWalkEngine` with no
    sampler array: every node on the vectorised on-demand path;
 3. **assignment-aware batch** — the same engine over the optimizer's
-   sampler assignment plus a hot edge-state cache sized to the budget
-   headroom.
+   sampler assignment.
 
 Each scale also records the framework set-up the walks depend on, by
 layer: exact bounding constants, the optimizer, and sampler-table
@@ -229,7 +228,6 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
     )
     configs["batched_naive"] = (done, secs, trunc, "numpy")
 
-    aware_engine = None
     rejection_counts: Counter = Counter()
     for backend in kernel_backends():
         resolved = resolve_backend(backend)
@@ -263,7 +261,6 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         }
         if backend is not None:
             engines[name]["backend"] = backend
-    cache_stats = aware_engine.cache.stats() if aware_engine.cache else None
     counts = framework.assignment.counts()
     scalar_rate = engines["scalar"]["walks_per_sec"]
     aware_rate = engines["assignment_aware_batch"]["walks_per_sec"]
@@ -275,7 +272,6 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         "assignment": {str(k): int(v) for k, v in counts.items()},
         "setup": setup,
         "engines": engines,
-        "cache": cache_stats,
         "rejection": rejection_summary(rejection_counts),
         "speedup_batch_vs_scalar": (
             round(aware_rate / scalar_rate, 2) if scalar_rate else None

@@ -2,11 +2,11 @@
 
 The optimizer's whole guarantee — a sampler assignment never exceeds the
 memory budget — rests on ``cost/model.py`` describing what the builders
-in ``sampling/``, ``framework/node_samplers.py``, ``walks/cache.py`` and
+in ``sampling/``, ``framework/node_samplers.py`` and
 ``graph/sharded.py`` actually allocate.  This module closes that loop
 statically: each registered *structure* (one per row of the paper's
-Table 1, plus the cache-entry and resident-shard structures later PRs
-added) is extracted from the source on both sides of the contract:
+Table 1, plus the out-of-core layout's resident shard) is extracted
+from the source on both sides of the contract:
 
 * the **model side** — the return expression of the corresponding
   ``cost/model.py`` formula (or ``memory_bytes`` method), evaluated into
@@ -546,16 +546,6 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
         note=(
             "no persistent per-node state; the model charges the amortised "
             "share b_f*d_max/N of one shared scratch buffer"
-        ),
-    ),
-    StructureSpec(
-        name="edge_state_cache_entry",
-        module="walks/cache.py",
-        symbol="EdgeStateCache",
-        declared_alloc="d*b_f",
-        note=(
-            "one materialised e2e weight vector per hot edge state; "
-            "entry_bytes must equal the payload nbytes (MCC204)"
         ),
     ),
     StructureSpec(

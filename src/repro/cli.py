@@ -172,15 +172,6 @@ def build_tool_parser() -> argparse.ArgumentParser:
         ),
     )
     walk.add_argument(
-        "--cache-budget",
-        type=float,
-        default=None,
-        help=(
-            "bytes for the batch engine's hot edge-state cache (default: "
-            "the assignment budget headroom; 0 disables it)"
-        ),
-    )
-    walk.add_argument(
         "--kernel-backend",
         default=None,
         metavar="NAME",
@@ -321,24 +312,14 @@ def build_tool_parser() -> argparse.ArgumentParser:
         "msan-report",
         parents=[common],
         help=(
-            "run a representative workload (sampler builds, cached batch "
-            "walks, a sharded-layout residency sweep) under the memory "
+            "run a representative workload (sampler builds, batch walks, "
+            "a sharded-layout residency sweep) under the memory "
             "sanitizer and verify every structure's real allocation "
             "bytes against memory-contracts.json"
         ),
     )
     msan.add_argument("--num-walks", type=int, default=4)
     msan.add_argument("--length", type=int, default=20)
-    msan.add_argument(
-        "--cache-budget",
-        type=float,
-        default=None,
-        help=(
-            "bytes for the batch engine's edge-state cache (default: the "
-            "assignment budget headroom) — exercised so admitted entries "
-            "are byte-checked"
-        ),
-    )
     msan.add_argument(
         "--num-shards",
         type=int,
@@ -806,9 +787,7 @@ def _run_tool(argv: list[str]) -> int:
         or args.dead_letter
     )
     if args.engine == "batch":
-        engine = framework.batch_engine(
-            cache_budget=args.cache_budget, backend=args.kernel_backend
-        )
+        engine = framework.batch_engine(backend=args.kernel_backend)
     else:
         engine = framework.walk_engine
 
@@ -947,9 +926,9 @@ def _run_msan_report(args) -> int:
     """Runtime byte-conformance check against ``memory-contracts.json``.
 
     Runs a workload covering every contract structure — the framework
-    build materialises alias/rejection/naive sampler state, cached batch
-    walks admit edge-state cache entries, and a temporary sharded layout
-    is swept through the residency manager — inside an
+    build materialises alias/rejection/naive sampler state, batch walks
+    run over it, and a temporary sharded layout is swept through the
+    residency manager — inside an
     :func:`~repro.analysis.msan.msan_trace` scope, then verifies each
     recorded allocation's real bytes against the contracts.
 
@@ -982,13 +961,13 @@ def _run_msan_report(args) -> int:
     with msan_trace() as tracer:
         framework = _build_framework(args)
         print(framework.assignment.describe())
-        engine = framework.batch_engine(cache_budget=args.cache_budget)
+        engine = framework.batch_engine()
         corpus = engine.walks(
             num_walks=args.num_walks, length=args.length, rng=args.seed
         )
         print(
             f"generated {len(corpus)} walks, {corpus.total_steps} steps "
-            "(batch engine, edge-state cache exercised)"
+            "(batch engine)"
         )
         from .graph import load_edge_list
         from .graph.sharded import ShardResidencyManager, write_sharded_layout

@@ -208,34 +208,17 @@ class PartitionedFramework:
         """Cluster-wide walk engine (walks cross partitions freely)."""
         return self._engine
 
-    def batch_engine(
-        self,
-        *,
-        cache_budget: float | None = None,
-        backend: str | None = None,
-    ):
+    def batch_engine(self, *, backend: str | None = None):
         """Assignment-aware :class:`~repro.walks.BatchWalkEngine` over the
         stitched cluster samplers.
 
-        The default cache budget is the summed headroom the per-worker
-        optimisers left unused (finite worker budgets only).  ``backend``
-        selects the step-kernel backend as in
+        ``backend`` selects the step-kernel backend as in
         :meth:`repro.MemoryAwareFramework.batch_engine`.
         """
         from ..walks.batch import BatchWalkEngine
 
-        if cache_budget is None:
-            cache_budget = sum(
-                max(0.0, a.budget - a.used_memory)
-                for a in self.worker_assignments
-                if np.isfinite(a.budget)
-            )
         return BatchWalkEngine(
-            self.graph,
-            self.model,
-            self._samplers,
-            cache=cache_budget,
-            backend=backend,
+            self.graph, self.model, self._samplers, backend=backend
         )
 
     def worker_stats(self) -> list[WorkerStats]:
@@ -278,7 +261,6 @@ class PartitionedFramework:
         checkpoint=None,
         on_exhausted: str = "raise",
         engine: str = "scalar",
-        cache_budget: float | None = None,
         backend: str | None = None,
     ) -> WalkCorpus:
         """Cluster-wide corpus generation under the resilience supervisor.
@@ -292,7 +274,7 @@ class PartitionedFramework:
         from ``rng`` up-front, so the corpus is deterministic for a fixed
         seed regardless of the process count.  ``engine="batch"`` runs
         chunks through the vectorised assignment-aware engine
-        (``cache_budget`` and ``backend`` as in :meth:`batch_engine`).
+        (``backend`` as in :meth:`batch_engine`).
         """
         if num_walks < 1 or length < 0:
             raise WalkError("num_walks must be >= 1 and length >= 0")
@@ -320,7 +302,7 @@ class PartitionedFramework:
         base = ensure_rng(rng)
         seeds = [int(base.integers(0, 2**63 - 1)) for _ in chunks]
         walk_engine = (
-            self.batch_engine(cache_budget=cache_budget, backend=backend)
+            self.batch_engine(backend=backend)
             if engine == "batch"
             else self._engine
         )

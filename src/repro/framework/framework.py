@@ -224,29 +224,21 @@ class MemoryAwareFramework:
         """An assignment-aware :class:`~repro.walks.BatchWalkEngine` over
         the materialised samplers.
 
-        ``cache_budget`` sizes the hot edge-state cache in bytes.  The
-        default gives it the budget headroom the optimizer left unused
-        (``budget - used_memory``) — the cache dynamically materialises
-        distributions the assignment could not afford to, in the same byte
-        currency.  Pass ``0`` to disable the cache.  ``backend`` selects
-        the step-kernel backend (``"numpy"``/``"numba"``/registered name;
-        default: ``REPRO_KERNEL_BACKEND`` or numpy) — bit-identical output
-        either way, the choice is purely about speed.
+        ``backend`` selects the step-kernel backend (``"numpy"``/
+        ``"numba"``/registered name; default: ``REPRO_KERNEL_BACKEND`` or
+        numpy) — bit-identical output either way, the choice is purely
+        about speed.
+
+        ``cache_budget`` is accepted and ignored: the engine keeps no
+        edge-state cache.  The keyword stays only because the benchmark
+        suite's ``ar-query`` workload still passes it; it goes in the
+        benchmark change that drops ``cache_budget`` from that workload's
+        spec and rewords its description.
         """
         from ..walks.batch import BatchWalkEngine
 
-        if cache_budget is None:
-            budget = self._assignment.budget
-            if np.isfinite(budget):
-                cache_budget = max(0.0, budget - self._assignment.used_memory)
-            else:
-                cache_budget = 0.0
         return BatchWalkEngine(
-            self.graph,
-            self.model,
-            self._samplers,
-            cache=cache_budget,
-            backend=backend,
+            self.graph, self.model, self._samplers, backend=backend
         )
 
     def sampler(self, node: int) -> NodeSampler | None:
@@ -267,15 +259,14 @@ class MemoryAwareFramework:
         length: int,
         rng: RngLike = None,
         engine: str = "scalar",
-        cache_budget: float | None = None,
         backend: str | None = None,
     ) -> list[np.ndarray]:
         """The node2vec pattern: ``num_walks`` walks of ``length`` per node.
 
         ``engine="batch"`` runs the vectorised assignment-aware engine
-        (same walk distribution, different RNG stream; ``cache_budget``
-        and ``backend`` as in :meth:`batch_engine` — the kernel backend
-        never changes the corpus, only its speed).
+        (same walk distribution, different RNG stream; ``backend`` as in
+        :meth:`batch_engine` — the kernel backend never changes the
+        corpus, only its speed).
         """
         if engine not in ("scalar", "batch"):
             raise OptimizerError(
@@ -286,9 +277,7 @@ class MemoryAwareFramework:
                 "kernel backends apply to engine='batch' only"
             )
         if engine == "batch":
-            corpus = self.batch_engine(
-                cache_budget=cache_budget, backend=backend
-            ).walks(
+            corpus = self.batch_engine(backend=backend).walks(
                 num_walks=num_walks,
                 length=length,
                 rng=rng if rng is not None else self._rng,

@@ -79,9 +79,9 @@ class SecondOrderModel(ABC):
         it with a fully vectorised version.
 
         Contract: for a given ``(u, v)`` the returned values must be
-        bit-identical regardless of which other states share the batch —
-        the engine's edge-state cache relies on recomputation being an
-        exact memoisation.
+        bit-identical regardless of which other states share the batch,
+        so a state's distribution never depends on which other walkers
+        share its step.
         """
         chunks = [
             self.biased_weights(graph, int(u), int(v)) for u, v in zip(us, vs)

@@ -9,7 +9,6 @@
 """
 
 from .batch import BatchWalkEngine, batch_second_order_pagerank, batch_walks
-from .cache import EdgeStateCache
 from .corpus import WalkCorpus
 from .exact_pagerank import exact_second_order_pagerank
 from .kernels import (
@@ -39,7 +38,6 @@ __all__ = [
     "batch_walks",
     "batch_second_order_pagerank",
     "BatchWalkEngine",
-    "EdgeStateCache",
     "KernelBackend",
     "KERNEL_BACKEND_ENV",
     "available_backends",

@@ -14,11 +14,12 @@ Unlike the original "batched-naive" engine, :class:`BatchWalkEngine` is
 memory the optimizer paid for is actually exploited on the hot path:
 
 * **naive** nodes rebuild their e2e weights on demand — but for *every
-  distinct edge state of the step at once* through
-  :meth:`~repro.models.SecondOrderModel.biased_weights_many`, followed by
-  one segmented inverse-CDF draw for the whole frontier slice.  A hot
-  edge-state :class:`~repro.walks.cache.EdgeStateCache` memoises the
-  weight vectors (LRU, byte-accounted) so popular states skip the rebuild;
+  distinct edge state of the step at once* through one
+  :meth:`~repro.models.SecondOrderModel.biased_weights_many` call,
+  followed by one segmented inverse-CDF draw for the whole frontier
+  slice.  Nothing is kept between steps: the rebuild is already one
+  vectorised call, so a memo in front of it costs more than it saves
+  (see ``docs/performance.md``);
 * **rejection** nodes run KnightKing-style vectorised rejection: proposal
   columns, keep/alias resolution, and acceptance draws are whole-array
   operations.  Each round gives every pending walker several proposals
@@ -33,9 +34,8 @@ memory the optimizer paid for is actually exploited on the hot path:
 
 Determinism: for a fixed seed the output is a pure function of the start
 order — the dispatch order (naive → rejection → alias → fallback, groups
-in sorted key order) is fixed, and the cache is exact memoisation that
-never consumes walk RNG, so worker count and cache size never change the
-corpus (hash-pinned in the test suite).
+in sorted key order) is fixed, so worker count never changes the corpus
+(hash-pinned in the test suite).
 
 Step-centric kernels (ThunderRW-style): the engine methods are thin
 *drivers* — they regroup the frontier, materialise flat tables/weights,
@@ -62,7 +62,6 @@ from ..graph import CSRGraph
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
-from .cache import EdgeStateCache
 from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
@@ -83,11 +82,6 @@ class BatchWalkEngine:
         ``framework.walk_engine.samplers``).  ``None`` runs every node on
         the on-demand naive path — the original "batched-naive" engine,
         an O(1)-memory point in the paper's design space.
-    cache:
-        Hot edge-state cache: an :class:`EdgeStateCache`, a
-        :class:`~repro.framework.MemoryBudget` / byte count to build one
-        from, or ``None`` to disable.  Serves the naive path only (states
-        whose distributions the assignment did *not* pay to materialise).
     max_rejection_rounds:
         Safety valve for the vectorised rejection loop.
     backend:
@@ -105,7 +99,6 @@ class BatchWalkEngine:
         model: SecondOrderModel,
         samplers: Sequence[NodeSampler | None] | None = None,
         *,
-        cache: "EdgeStateCache | object | float | None" = None,
         max_rejection_rounds: int = 10_000,
         backend: "KernelBackend | str | None" = None,
     ) -> None:
@@ -113,10 +106,6 @@ class BatchWalkEngine:
         self.model = model
         self.backend = resolve_backend(backend)
         self.samplers = list(samplers) if samplers is not None else None
-        if cache is None or isinstance(cache, EdgeStateCache):
-            self.cache = cache
-        else:
-            self.cache = EdgeStateCache(cache)
         self.max_rejection_rounds = int(max_rejection_rounds)
         self._n = graph.num_nodes
 
@@ -244,7 +233,7 @@ class BatchWalkEngine:
     ) -> WalkCorpus:
         """``num_walks`` walks per start node (default: every non-isolated
         node), in start-major order.  Returns a :class:`WalkCorpus` with
-        engine/cache counters on ``corpus.metadata``."""
+        engine counters on ``corpus.metadata``."""
         if num_walks < 1:
             raise WalkError("num_walks must be >= 1")
         if length < 0:
@@ -279,40 +268,21 @@ class BatchWalkEngine:
         return [_trim_trail(row) for row in trails]
 
     def stats(self) -> dict:
-        """Cache and dispatch counters (observability hooks).
-
-        ``dispatch`` counts served groups/walkers per sampler kind across
-        all e2e steps (the naive path counts distinct edge states, the
-        consolidated rejection/alias paths distinct current nodes);
-        ``cache`` is the :meth:`EdgeStateCache.stats` snapshot when a
-        cache is attached.
-        """
-        stats = {
-            "engine": "batch",
-            "backend": self.backend.name,
-            "steps": int(self._steps),
-            "dispatch": {
-                name: {
-                    "groups": int(self._dispatch_groups[name]),
-                    "walkers": int(self._dispatch_walkers[name]),
-                }
-                for name in _KIND_NAMES.values()
-            },
-        }
-        if self.cache is not None:
-            stats["cache"] = self.cache.stats()
-        return stats
+        """Engine tag, kernel backend and :meth:`counters` (observability
+        hooks)."""
+        return {"engine": "batch", "backend": self.backend.name, **self.counters()}
 
     def counters(self) -> dict:
         """Summable event counts only (the cross-worker merge payload).
 
-        Subset of :meth:`stats` restricted to monotonically increasing
-        integers, so per-chunk deltas merge associatively across worker
-        processes (see :mod:`repro.walks.metrics`).  Gauges such as the
-        cache's ``used_bytes`` are deliberately absent — they are
-        process-local state, not events.
+        ``dispatch`` counts served groups/walkers per sampler kind across
+        all e2e steps (the naive path counts distinct edge states, the
+        consolidated rejection/alias paths distinct current nodes).  Every
+        value is a monotonically increasing integer, so per-chunk deltas
+        merge associatively across worker processes (see
+        :mod:`repro.walks.metrics`).
         """
-        counters: dict = {
+        return {
             "steps": int(self._steps),
             "dispatch": {
                 name: {
@@ -322,41 +292,17 @@ class BatchWalkEngine:
                 for name in _KIND_NAMES.values()
             },
         }
-        if self.cache is not None:
-            cache_stats = self.cache.stats()
-            counters["cache"] = {
-                key: int(cache_stats[key])
-                for key in ("hits", "misses", "evictions")
-            }
-        return counters
-
-    def reset_chunk_state(self) -> None:
-        """Reset transient state so the next chunk is self-contained.
-
-        Called by the chunked runner before every chunk: dropping the
-        edge-state cache's entries (counters survive — deltas are taken
-        around the chunk body) makes each chunk's counter delta a pure
-        function of that chunk, independent of which worker ran it or
-        what ran before — the invariant behind the 1-vs-4-worker counter
-        equality the tests pin.  Output is unaffected either way: the
-        cache is exact memoisation and never consumes walk RNG.
-        """
-        if self.cache is not None:
-            self.cache.clear()
 
     def describe(self) -> str:
-        """One-line dispatch/cache summary (``graph.stats`` style)."""
+        """One-line dispatch summary (``graph.stats`` style)."""
         parts = [
             f"{name}={self._dispatch_walkers[name]}w/{self._dispatch_groups[name]}g"
             for name in _KIND_NAMES.values()
             if self._dispatch_groups[name]
         ]
-        line = f"batch engine: steps={self._steps}, " + (
+        return f"batch engine: steps={self._steps}, " + (
             ", ".join(parts) if parts else "idle"
         )
-        if self.cache is not None:
-            line += "; " + self.cache.describe()
-        return line
 
     # ------------------------------------------------------------------
     # core stepping
@@ -484,7 +430,7 @@ class BatchWalkEngine:
         vs = uk % self._n
         indptr = self.graph.indptr
         sizes = (indptr[vs + 1] - indptr[vs]).astype(np.int64)
-        flat = self._materialise_weights(us, vs, sizes)
+        flat, _ = self.model.biased_weights_many(self.graph, us, vs)
         with kernel_scope("segmented_inverse_cdf"):
             uniforms = gen.random(len(sub))
         picks, bad = kb.segmented_inverse_cdf(flat, sizes, group, uniforms)
@@ -495,44 +441,6 @@ class BatchWalkEngine:
         self._take_hops(sub, indptr[vs][group] + picks, edge, trails, t)
         self._count("naive", len(uk), len(sub))
 
-    def _materialise_weights(
-        self, us: np.ndarray, vs: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Per-state e2e weight vectors, flat-concatenated in state order.
-
-        Cache-aware: hits reuse the stored vector (exact memoisation),
-        misses are recomputed *together* in one
-        :meth:`~repro.models.SecondOrderModel.biased_weights_many` call
-        and inserted.  The returned flat array is bit-identical for any
-        cache state.
-        """
-        cache = self.cache
-        if cache is None or not cache.enabled:
-            flat, _sizes = self.model.biased_weights_many(self.graph, us, vs)
-            return flat
-        keys = list(zip(us.tolist(), vs.tolist()))
-        segments = cache.get_many(keys)
-        missing = [i for i, segment in enumerate(segments) if segment is None]
-        if missing:
-            m_idx = np.asarray(missing, dtype=np.int64)
-            m_flat, m_sizes = self.model.biased_weights_many(
-                self.graph, us[m_idx], vs[m_idx]
-            )
-            fresh = np.split(m_flat, np.cumsum(m_sizes)[:-1])
-            cache.put_many([keys[i] for i in missing], fresh)
-            if len(missing) == len(keys):
-                return m_flat
-            for i, segment in zip(missing, fresh):
-                segments[i] = segment
-        return (
-            np.concatenate(segments)
-            if segments
-            else np.empty(0, dtype=np.float64)
-        )
-
-    # ------------------------------------------------------------------
-    # rejection path: frontier-wide vectorised acceptance-rejection
-    # ------------------------------------------------------------------
     def _e2e_rejection(
         self,
         sub: np.ndarray,
@@ -849,7 +757,6 @@ def batch_walks(
     length: int = 10,
     rng: RngLike = None,
     samplers: Sequence[NodeSampler | None] | None = None,
-    cache: "EdgeStateCache | float | None" = None,
     backend: "KernelBackend | str | None" = None,
 ) -> WalkCorpus:
     """Generate walks for all start nodes with edge-state batching.
@@ -864,7 +771,7 @@ def batch_walks(
     given ``rng``; the stream differs from the scalar engine's but the
     walk distribution is identical).
     """
-    engine = BatchWalkEngine(graph, model, samplers, cache=cache, backend=backend)
+    engine = BatchWalkEngine(graph, model, samplers, backend=backend)
     return engine.walks(
         starts=starts, num_walks=num_walks, length=length, rng=rng
     )

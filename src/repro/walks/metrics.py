@@ -1,6 +1,6 @@
 """Associative merging of per-chunk engine counters.
 
-The batch engine's dispatch/cache counters used to reach
+The batch engine's dispatch counters used to reach
 ``WalkCorpus.metadata`` straight off the parent-process engine object —
 which silently dropped every count accumulated inside forked pool
 workers (their copy-on-write increments die with the child).  The fix is
@@ -11,9 +11,9 @@ the chunk body), and the parent folds the deltas together with
 
 The merge is a per-key integer sum over the union of keys — associative
 and commutative — so the aggregate is independent of worker count,
-completion order, and chunk-to-worker placement.  Combined with the
-engine resetting its per-chunk transient state (the edge-state cache)
-before each chunk, the merged counters are a pure function of the chunk
+completion order, and chunk-to-worker placement.  Combined with an
+engine resetting its per-chunk transient state (the sharded scheduler's
+resident shards) before each chunk, the merged counters are a pure function of the chunk
 list: a 1-worker and a 4-worker run report identical totals, which the
 test suite pins.
 """

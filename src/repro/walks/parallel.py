@@ -87,7 +87,7 @@ class WalkChunkResult:
     ``fingerprint`` is present when the determinism sanitizer is active;
     ``counters`` is the engine's per-chunk counter *delta* (``None`` for
     engines without counters) — the associatively mergeable payload that
-    makes dispatch/cache totals worker-count invariant instead of dying
+    makes dispatch totals worker-count invariant instead of dying
     with the forked child.
     """
 
@@ -219,27 +219,6 @@ def _engine_backend(engine: WalkEngine) -> str:
     resume another backend's checkpoint — refusal is the safe default.
     """
     return str(getattr(getattr(engine, "backend", None), "name", ""))
-
-
-def _counter_metadata(engine: WalkEngine, counters: CounterTree) -> dict:
-    """Corpus-metadata view of merged per-chunk counters.
-
-    The summable counts are reported as merged; the cache section is
-    re-dressed with the engine's byte budget and the recomputed hit rate
-    (a ratio cannot be summed across chunks — it is derived from the
-    merged hits/misses, which keeps it associative too).
-    """
-    meta = dict(counters)
-    cache = getattr(engine, "cache", None)
-    cache_counts = meta.get("cache")
-    if isinstance(cache_counts, dict) and cache is not None:
-        section = dict(cache_counts)
-        hits = int(section.get("hits", 0))
-        lookups = hits + int(section.get("misses", 0))
-        section["budget_bytes"] = float(cache.budget.total_bytes)
-        section["hit_rate"] = (hits / lookups) if lookups else 0.0
-        meta["cache"] = section
-    return meta
 
 
 def run_chunked_walks(
@@ -412,14 +391,14 @@ def run_chunked_walks(
                 detail=f"run with workers={int(workers)}",
             )
     if hasattr(engine, "counters"):
-        # Dispatch/cache counters, summed from the per-chunk deltas each
+        # Dispatch counters, summed from the per-chunk deltas each
         # worker sent back with its walks — worker-count invariant, unlike
         # reading the parent engine object (forked children's increments
         # never come home).  All-replayed runs report a zero tree.
         if merged is None:
             zero = engine.counters()
             merged = diff_counters(zero, zero)
-        corpus.metadata.update(_counter_metadata(engine, merged))
+        corpus.metadata.update(merged)
     elif hasattr(engine, "stats"):
         corpus.metadata.update(engine.stats())
     return corpus

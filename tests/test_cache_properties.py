@@ -1,8 +1,9 @@
-"""Property-based tests for :class:`repro.walks.cache.ByteLRUCache`.
+"""Tests for :class:`repro.walks.cache.ByteLRUCache`.
 
-Hypothesis drives arbitrary operation sequences (put/get/clear with
-varying payload sizes) against a small byte budget and checks the
-accounting invariants the memory-cost contracts rely on:
+Unit tests pin the LRU and budget behaviour on array payloads keyed by
+``(u, v)`` pairs.  Hypothesis then drives arbitrary operation sequences
+(put/get/clear with varying payload sizes) against a small byte budget
+and checks the accounting invariants the memory-cost contracts rely on:
 
 * ``used_bytes`` equals the sum of the resident entries' real payload
   bytes at every point in time;
@@ -16,8 +17,7 @@ accounting invariants the memory-cost contracts rely on:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.msan import msan_trace
-from repro.walks.cache import ByteLRUCache, EdgeStateCache
+from repro.walks.cache import ByteLRUCache
 
 KEYS = st.integers(min_value=0, max_value=7)
 
@@ -68,17 +68,79 @@ def _apply(cache, ops):
     return shadow
 
 
+class TestByteLRUCache:
+    def test_disabled_when_budgetless(self):
+        for budget in (None, 0, 0.0):
+            cache = ByteLRUCache(budget)
+            assert not cache.enabled
+            assert not cache.put((0, 1), np.ones(4))
+            assert cache.get((0, 1)) is None
+            assert cache.used_bytes == 0
+
+    def test_hit_returns_stored_array(self):
+        cache = ByteLRUCache(1024)
+        weights = np.array([0.5, 1.5, 2.0])
+        assert cache.put((3, 4), weights)
+        assert cache.get((3, 4)) is weights
+        assert cache.hits == 1 and cache.misses == 0
+
+    def test_lru_eviction_order(self):
+        entry = np.ones(4)  # 32 bytes
+        cache = ByteLRUCache(entry.nbytes * 2)
+        cache.put((0, 1), entry)
+        cache.put((0, 2), np.ones(4))
+        cache.get((0, 1))  # refresh (0, 1): now (0, 2) is LRU
+        cache.put((0, 3), np.ones(4))
+        assert (0, 1) in cache and (0, 3) in cache
+        assert (0, 2) not in cache
+        assert cache.evictions == 1
+
+    def test_budget_never_exceeded(self):
+        rng = np.random.default_rng(0)
+        cache = ByteLRUCache(500)
+        for i in range(200):
+            cache.put((i, i), np.ones(int(rng.integers(1, 8))))
+            assert cache.used_bytes <= cache.budget.total_bytes
+        assert cache.peak_bytes <= cache.budget.total_bytes
+        assert cache.evictions > 0
+
+    def test_oversized_entry_not_cached(self):
+        cache = ByteLRUCache(64)
+        kept = np.ones(2)
+        assert cache.put((0, 0), kept)
+        assert not cache.put((1, 1), np.ones(100))
+        assert (1, 1) not in cache
+        assert (0, 0) in cache  # existing entries survive the refusal
+
+    def test_replacing_key_releases_old_bytes(self):
+        cache = ByteLRUCache(1024)
+        cache.put((0, 1), np.ones(64))
+        cache.put((0, 1), np.ones(2))
+        assert cache.used_bytes == np.ones(2).nbytes
+
+    def test_stats_and_describe(self):
+        cache = ByteLRUCache(256)
+        cache.put((0, 1), np.ones(4))
+        cache.get((0, 1))
+        cache.get((9, 9))
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["hit_rate"] == 0.5
+        assert "byte-budget cache" in cache.describe()
+
+
 class TestByteAccountingProperties:
     @settings(max_examples=150, deadline=None)
     @given(budget=BUDGETS, ops=st.lists(OPS, max_size=30))
     def test_used_bytes_is_sum_of_resident_entries(self, budget, ops):
-        cache = EdgeStateCache(budget)
+        cache = ByteLRUCache(budget)
         _apply(cache, ops)
 
     @settings(max_examples=150, deadline=None)
     @given(budget=BUDGETS, ops=st.lists(OPS, max_size=30))
     def test_peak_is_monotone_and_dominates_used(self, budget, ops):
-        cache = EdgeStateCache(budget)
+        cache = ByteLRUCache(budget)
         last_peak = 0
         for op in ops:
             if op[0] == "put":
@@ -96,7 +158,7 @@ class TestByteAccountingProperties:
     @settings(max_examples=100, deadline=None)
     @given(budget=BUDGETS, ops=st.lists(OPS, max_size=30))
     def test_counters_are_consistent(self, budget, ops):
-        cache = EdgeStateCache(budget)
+        cache = ByteLRUCache(budget)
         gets = puts = 0
         for op in ops:
             if op[0] == "put":
@@ -125,22 +187,22 @@ class TestByteAccountingProperties:
         # Re-touching key 0 after every insert keeps it most-recent, so
         # it is only ever evicted when a new entry needs the whole
         # budget including key 0's bytes.
-        cache = EdgeStateCache(budget)
+        cache = ByteLRUCache(budget)
         hot = np.ones(1, dtype=np.float64)
         for offset, elements in enumerate(sizes):
-            if cache.peek(0) is None:
+            if 0 not in cache:
                 cache.put(0, hot)  # (re)insert: most recent again
             stored = cache.put(1 + offset, np.zeros(elements, dtype=np.float64))
             if stored and elements * 8 + hot.nbytes <= budget:
-                assert cache.peek(0) is not None
-            if cache.peek(0) is not None:
+                assert 0 in cache
+            if 0 in cache:
                 cache.get(0)  # refresh recency
             assert cache.used_bytes <= cache.budget.total_bytes
 
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(OPS, max_size=20))
     def test_zero_budget_cache_stores_nothing(self, ops):
-        cache = EdgeStateCache(0)
+        cache = ByteLRUCache(0)
         assert not cache.enabled
         for op in ops:
             if op[0] == "put":
@@ -168,61 +230,3 @@ class TestByteAccountingProperties:
         assert stored == (payload.nbytes <= budget)
         assert cache.used_bytes == (payload.nbytes if stored else 0)
 
-
-#: one batch: ("put", [(key, payload_elements), ...]) | ("get", [key, ...])
-#: | ("clear",)
-BATCHES = st.one_of(
-    st.tuples(
-        st.just("put"),
-        st.lists(
-            st.tuples(KEYS, st.integers(min_value=0, max_value=40)), max_size=8
-        ),
-    ),
-    st.tuples(st.just("get"), st.lists(KEYS, max_size=8)),
-    st.tuples(st.just("clear")),
-)
-
-
-def _cache_state(cache):
-    """Everything observable: entries in LRU order, bytes and counters."""
-    return (
-        [(key, id(value)) for key, value in cache._entries.items()],
-        cache.used_bytes,
-        cache.peak_bytes,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-    )
-
-
-class TestBatchedCalls:
-    @settings(max_examples=150, deadline=None)
-    @given(budget=BUDGETS, batches=st.lists(BATCHES, max_size=12))
-    def test_batches_equal_one_key_at_a_time(self, budget, batches):
-        """``get_many``/``put_many`` leave the same entries, LRU order,
-        counters, peak and sanitizer records as one call per key."""
-        batched, single = EdgeStateCache(budget), EdgeStateCache(budget)
-        batched_records, single_records = [], []
-        for batch in batches:
-            if batch[0] == "put":
-                keys = [key for key, _ in batch[1]]
-                values = [
-                    np.full(elements, float(key)) for key, elements in batch[1]
-                ]
-                with msan_trace() as tracer:
-                    got = batched.put_many(keys, values)
-                batched_records += tracer.records
-                with msan_trace() as tracer:
-                    want = [single.put(k, v) for k, v in zip(keys, values)]
-                single_records += tracer.records
-            elif batch[0] == "get":
-                got = [id(v) for v in batched.get_many(batch[1])]
-                want = [id(single.get(key)) for key in batch[1]]
-            else:
-                batched.clear()
-                single.clear()
-                got = want = None
-            assert got == want
-            assert _cache_state(batched) == _cache_state(single)
-            assert batched.used_bytes <= batched.budget.total_bytes
-        assert batched_records == single_records

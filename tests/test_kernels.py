@@ -13,7 +13,7 @@ Three layers of guarantees:
   the compiled backend's arithmetic specification.
 * **engine integration** — the backend name lands in corpus metadata and
   the checkpoint signature (cross-backend resume is refused), dispatch
-  and cache counters merge associatively across worker counts, and —
+  counters merge associatively across worker counts, and —
   where numba is installed — the compiled backend reproduces the numpy
   corpus and DSan fingerprints bit-for-bit.
 """
@@ -329,7 +329,7 @@ class TestKernelEquivalence:
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
     def test_backend_recorded_in_stats_and_metadata(self, framework):
-        engine = framework.batch_engine(cache_budget=5_000)
+        engine = framework.batch_engine()
         assert engine.stats()["backend"] == "numpy"
         corpus = parallel_walks(
             engine, num_walks=2, length=10, workers=1, chunk_size=16, rng=3
@@ -372,14 +372,12 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_counters_are_worker_count_invariant(self, graph, model, workers):
         """Per-chunk counter deltas merge associatively: 4 forked workers
-        report the same dispatch/cache totals as the sequential path."""
-        # An all-naive assignment routes every step through the edge-state
-        # cache, so the cache counters see real traffic.
+        report the same dispatch totals as the sequential path."""
         fw = MemoryAwareFramework.memory_unaware(
             graph, model, SamplerKind.NAIVE, rng=0
         )
         corpus = parallel_walks(
-            fw.batch_engine(cache_budget=5_000),
+            fw.batch_engine(),
             num_walks=3,
             length=20,
             workers=workers,
@@ -387,7 +385,7 @@ class TestEngineIntegration:
             rng=11,
         )
         reference = parallel_walks(
-            fw.batch_engine(cache_budget=5_000),
+            fw.batch_engine(),
             num_walks=3,
             length=20,
             workers=1,
@@ -397,13 +395,9 @@ class TestEngineIntegration:
         assert corpus_sha(corpus) == corpus_sha(reference)
         assert corpus.metadata["steps"] == reference.metadata["steps"]
         assert corpus.metadata["dispatch"] == reference.metadata["dispatch"]
-        assert corpus.metadata["cache"] == reference.metadata["cache"]
-        # The pooled run actually exercised the cache and dispatch paths.
+        # The pooled run actually exercised the naive dispatch path.
         assert corpus.metadata["steps"] > 0
-        lookups = (
-            corpus.metadata["cache"]["hits"] + corpus.metadata["cache"]["misses"]
-        )
-        assert lookups > 0
+        assert corpus.metadata["dispatch"]["naive"]["walkers"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +418,7 @@ class TestNumbaBitIdentity:
         reports = {}
         for backend in ("numpy", "numba"):
             corpus = parallel_walks(
-                framework.batch_engine(cache_budget=5_000, backend=backend),
+                framework.batch_engine(backend=backend),
                 num_walks=2,
                 length=12,
                 workers=1,

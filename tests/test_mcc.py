@@ -38,7 +38,6 @@ REGISTERED_STRUCTURES = {
     "rejection_state",
     "alias_state",
     "naive_state",
-    "edge_state_cache_entry",
     "resident_shard",
 }
 
@@ -88,7 +87,6 @@ class TestContractExtraction:
         assert rendered["alias_state"] == (
             "d**2*b_f + d**2*b_i + d*b_f + d*b_i"
         )
-        assert rendered["edge_state_cache_entry"] == "d*b_f"
         assert rendered["resident_shard"] == "8*n_s + 16*E_s + 8"
 
     def test_naive_state_has_no_persistent_allocation(self, program):

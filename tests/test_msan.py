@@ -2,7 +2,7 @@
 
 The dynamic half of the memory-cost contract checker: every
 instrumented structure build (alias tables, rejection/alias per-node
-sampler state, admitted edge-state cache entries, resident shards) must
+sampler state, resident shards) must
 report real ``nbytes`` that evaluate *exactly* to the committed
 ``memory-contracts.json`` terms at the observed dims.
 """
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Node2VecModel
+from repro import MemoryAwareFramework, Node2VecModel
 from repro.analysis.msan import (
     MemRecord,
     build_report,
@@ -33,8 +33,6 @@ from repro.framework.node_samplers import (
 from repro.graph import barabasi_albert_graph, load_edge_list
 from repro.graph.sharded import ShardResidencyManager, write_sharded_layout
 from repro.sampling.alias import AliasTable
-from repro.walks import BatchWalkEngine
-from repro.walks.cache import EdgeStateCache
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,24 +158,6 @@ class TestStructureConformance:
             NaiveNodeSampler(graph, model, 3)
         assert tracer.records == []
 
-    def test_cache_entries_match_contract(self):
-        cache = EdgeStateCache(10_000)
-        with msan_trace() as tracer:
-            cache.put((0, 1), np.ones(7, dtype=np.float64))
-            cache.put((1, 2), np.ones(3, dtype=np.float64))
-        assert [r.structure for r in tracer.records] == [
-            "edge_state_cache_entry",
-            "edge_state_cache_entry",
-        ]
-        assert [r.nbytes for r in tracer.records] == [56, 24]
-        assert verify_records(tracer.records, CONTRACTS) == []
-
-    def test_rejected_cache_entry_is_not_traced(self):
-        cache = EdgeStateCache(8)  # smaller than any entry below
-        with msan_trace() as tracer:
-            assert not cache.put((0, 1), np.ones(7, dtype=np.float64))
-        assert tracer.records == []
-
     def test_resident_shards_match_contract(self, graph, tmp_path):
         layout = write_sharded_layout(graph, tmp_path, num_shards=3)
         manager = ShardResidencyManager(layout)
@@ -192,15 +172,16 @@ class TestStructureConformance:
         assert verify_records(records, CONTRACTS) == []
 
     def test_batch_walk_workload_is_fully_conformant(self, graph):
+        # A budget tight enough to mix rejection and alias samplers.
         with msan_trace() as tracer:
-            engine = BatchWalkEngine(
-                graph, Node2VecModel(0.5, 2.0), cache=5_000.0
+            framework = MemoryAwareFramework(
+                graph, Node2VecModel(0.5, 2.0), budget=4_000, rng=0
             )
-            engine.walks(num_walks=4, length=12, rng=3)
+            framework.batch_engine().walks(num_walks=4, length=12, rng=3)
         assert tracer.records
         report = build_report(tracer, CONTRACTS)
         assert report.ok, report.divergences
-        assert "edge_state_cache_entry" in report.by_structure
+        assert {"rejection_state", "alias_state"} <= set(report.by_structure)
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +295,6 @@ class TestMsanReportCli:
                 str(edgelist),
                 "--budget",
                 "2e3",
-                "--cache-budget",
-                "4000",
                 "--num-shards",
                 "2",
                 "--output",
