@@ -25,6 +25,12 @@ come from a :class:`~repro.walks.kernels.KernelBackend` whose
 ``acceptance_mask`` call is one rejection round, and ``advance_frontier``
 closes a step.
 
+Each scale records the table memory too (``tables`` in the output,
+bytes): ``table_bytes`` is the real size of the samplers' table arenas,
+and ``engine_own_table_bytes`` the bytes of tables the assignment-aware
+engine walks that are not one of those arenas — a copy of its own.  It
+must be 0: the engine walks the samplers' buffers.
+
 Methodology: batch engines run the full workload in frontier chunks; the
 scalar engine walks start nodes under a wall-clock budget and its rate is
 extrapolated from the walks it completed (flagged ``extrapolated`` in the
@@ -44,7 +50,8 @@ Usage::
     python benchmarks/bench_engine.py --output BENCH_walks.json
 
 ``--check`` exits non-zero if any batch configuration fails to beat the
-scalar engine at any scale.  ``--quick`` sizes the workload so every
+scalar engine at any scale, or if the assignment-aware engine holds
+table bytes of its own.  ``--quick`` sizes the workload so every
 engine finishes inside the budget: no rate is extrapolated, which makes
 the numbers directly comparable across CI runs.
 """
@@ -136,6 +143,30 @@ def rejection_summary(counts: Counter) -> dict:
         "proposals": int(proposals),
         "acceptance": (
             round(counts["accepted"] / proposals, 4) if proposals else None
+        ),
+    }
+
+
+def table_memory(framework, engine) -> dict:
+    """Real bytes of the samplers' table arenas, and of the tables
+    ``engine`` walks that share no memory with them (its own copy)."""
+    arenas = {}
+    for v in range(framework.graph.num_nodes):
+        arena = getattr(framework.sampler(v), "arena", None)
+        if arena is not None:
+            arenas[id(arena)] = arena
+
+    def buffers(arena):
+        return [b for b in (arena.prob, arena.alias, arena.factors) if b is not None]
+
+    held = [b for arena in arenas.values() for b in buffers(arena)]
+    walked = [b for arena in engine.table_arenas().values() for b in buffers(arena)]
+    return {
+        "table_bytes": sum(arena.nbytes for arena in arenas.values()),
+        "engine_own_table_bytes": sum(
+            b.nbytes
+            for b in walked
+            if not any(np.may_share_memory(b, h) for h in held)
         ),
     }
 
@@ -271,6 +302,7 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         "budget_bytes": round(budget, 0),
         "assignment": {str(k): int(v) for k, v in counts.items()},
         "setup": setup,
+        "tables": table_memory(framework, framework.batch_engine()),
         "engines": engines,
         "rejection": rejection_summary(rejection_counts),
         "speedup_batch_vs_scalar": (
@@ -359,6 +391,11 @@ def main(argv=None) -> int:
             f"  set-up: bounding {setup['bounding_s']} s, optimize "
             f"{setup['optimize_s']} s, sampler build {setup['sampler_build_s']} s"
         )
+        tables = entry["tables"]
+        print(
+            f"  tables: {tables['table_bytes']} bytes in the samplers' arenas, "
+            f"{tables['engine_own_table_bytes']} bytes the engine's own"
+        )
         results.append(entry)
 
     report = {
@@ -400,12 +437,18 @@ def main(argv=None) -> int:
                         f"{entry['num_nodes']} nodes: {name} {rate} "
                         f"<= scalar {scalar}"
                     )
+            own = entry["tables"]["engine_own_table_bytes"]
+            if own != 0:
+                failures.append(
+                    f"{entry['num_nodes']} nodes: the engine holds {own} "
+                    "table bytes of its own"
+                )
         if failures:
             print("[bench_engine] CHECK FAILED:", "; ".join(failures))
             return 1
         print(
             "[bench_engine] check passed: every batch config beats scalar "
-            "at every scale"
+            "at every scale, and the engine walks the samplers' tables"
         )
     return 0
 

@@ -270,8 +270,10 @@ def parse_poly(text: str):
 # ----------------------------------------------------------------------
 # symbolic expression evaluation over the AST
 # ----------------------------------------------------------------------
-#: calls transparent to byte/size arithmetic.
-_TRANSPARENT_CALLS = {"int", "float", "len"}
+#: calls transparent to byte/size arithmetic.  ``sum`` reads per node:
+#: a table arena sized ``sum(f(degrees))`` holds ``f(d)`` for each node,
+#: which is what a per-node contract prices.
+_TRANSPARENT_CALLS = {"int", "float", "len", "sum"}
 
 
 def eval_expr(
@@ -506,7 +508,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
             ("params.float_bytes", "b_f"),
             ("params.int_bytes", "b_i"),
         ),
-        dims=(("degree", "d"),),
+        dims=(("degrees", "d"),),
         declared_alloc="2*d*b_f + d*b_i",
         variants=(("bounded", "d*b_f + d*b_i"),),
         note=(
@@ -526,7 +528,7 @@ STRUCTURE_SPECS: tuple[StructureSpec, ...] = (
             ("params.float_bytes", "b_f"),
             ("params.int_bytes", "b_i"),
         ),
-        dims=(("degree", "d"),),
+        dims=(("degrees", "d"),),
         declared_alloc="d**2*b_f + d**2*b_i + d*b_f + d*b_i",
         note="one e2e alias table per incoming edge (d**2) plus the n2e table",
     ),

@@ -172,18 +172,22 @@ class PartitionedFramework:
             graph, bounding_constants, self.cost_params
         )
 
-        self._samplers: list[NodeSampler | None] = [None] * graph.num_nodes
         self.worker_assignments: list[Assignment] = []
+        kinds = np.full(graph.num_nodes, -1, dtype=np.int64)
         for worker in range(workers):
             nodes = np.flatnonzero(partition == worker)
             assignment = self._solve_worker(nodes, float(worker_budgets[worker]))
             self.worker_assignments.append(assignment)
-            active = graph.degrees[nodes] > 0
-            for kind in SamplerKind:
-                picked = nodes[active & (assignment.samplers == int(kind))]
-                built = build_node_samplers(kind, graph, model, picked)
-                for v, sampler in zip(picked.tolist(), built):
-                    self._samplers[v] = sampler
+            kinds[nodes] = assignment.samplers
+        # One build per kind over every worker's nodes: one table arena
+        # per kind for the whole cluster.
+        kinds[graph.degrees == 0] = -1
+        self._samplers: list[NodeSampler | None] = [None] * graph.num_nodes
+        for kind in SamplerKind:
+            picked = np.flatnonzero(kinds == int(kind))
+            built = build_node_samplers(kind, graph, model, picked)
+            for v, sampler in zip(picked.tolist(), built):
+                self._samplers[v] = sampler
         self._engine = WalkEngine(graph, self._samplers)
 
     # ------------------------------------------------------------------

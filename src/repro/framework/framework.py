@@ -299,6 +299,15 @@ class MemoryAwareFramework:
         Returns the optimizer-level :class:`BudgetUpdate` plus the
         wall-clock seconds spent rebuilding the affected node samplers —
         together these are the Figure 9 "update cost".
+
+        Nodes whose sampler kind changes are rebuilt.  Each table arena
+        whose kind gains or loses a node is compacted: one new arena takes
+        the surviving samplers' tables (copied) and the rebuilt nodes'
+        tables, and the old one is freed with the old samplers once the
+        update commits.  Both arenas of a kind are alive until then, so
+        the transient peak is the old plus the new arena of every kind
+        that changed.  A batch engine made before the update keeps
+        walking (and holding) the old arenas.
         """
         if self._adaptive is None:
             raise OptimizerError(
@@ -307,7 +316,7 @@ class MemoryAwareFramework:
         old = self._assignment
         # Charge the new samplers before dropping or building anything; if
         # the meter trips (or a build fails) the optimizer and the meter
-        # roll back and the old samplers stay in place.
+        # roll back and the old samplers and arenas stay in place.
         with self._adaptive.transaction(), self.meter.transaction():
             update = self._adaptive.set_budget(new_budget)
             new = self._adaptive.assignment
@@ -320,10 +329,25 @@ class MemoryAwareFramework:
                         self.cost_table.memory[v, column],
                         what=self._charge_label(v, column),
                     )
-            built = self._build_samplers(changed, new.samplers[changed])
+            touched = set(old.samplers[changed].tolist())
+            touched |= set(new.samplers[changed].tolist())
+            kept = (old.samplers == new.samplers) & (self.graph.degrees > 0)
+            carry = {
+                int(kind): [
+                    self._samplers[v]
+                    for v in np.flatnonzero(kept & (old.samplers == kind)).tolist()
+                ]
+                for kind in (SamplerKind.REJECTION, SamplerKind.ALIAS)
+                if int(kind) in touched
+            }
+            built, moved = self._build_samplers(
+                changed, new.samplers[changed], carry=carry
+            )
         self._assignment = new
         for v, sampler in zip(changed.tolist(), built):
             self._samplers[v] = sampler
+        for sampler in moved:
+            self._samplers[sampler.node] = sampler
         rebuild_seconds = time.perf_counter() - started
         self._engine = WalkEngine(self.graph, self._samplers)
         return update, rebuild_seconds
@@ -425,7 +449,7 @@ class MemoryAwareFramework:
         started = time.perf_counter()
         self._samplers: list[NodeSampler | None] = self._build_samplers(
             np.arange(self.graph.num_nodes), self._assignment.samplers
-        )
+        )[0]
         self.timings.build_seconds = time.perf_counter() - started
         self._engine = WalkEngine(self.graph, self._samplers)
 
@@ -495,16 +519,24 @@ class MemoryAwareFramework:
         )
 
     def _build_samplers(
-        self, nodes: np.ndarray, columns: np.ndarray
-    ) -> list[NodeSampler | None]:
+        self,
+        nodes: np.ndarray,
+        columns: np.ndarray,
+        *,
+        carry: "dict[int, list] | None" = None,
+    ) -> tuple[list[NodeSampler | None], list[NodeSampler]]:
         """Samplers of cost-table ``columns`` for ``nodes`` (``None`` for
-        isolated nodes).
+        isolated nodes), plus the samplers ``carry`` moved.
 
         The meter is charged for every node, in node order, before any
         table is built, so an OOM names the first node that does not fit
         and leaves nothing half-built.  The built-in kinds are then built
-        in block passes (:func:`build_node_samplers`).
+        in block passes (:func:`build_node_samplers`), one table arena per
+        kind.  ``carry`` maps a built-in kind to built samplers whose
+        tables go into that kind's new arena too; copies of them over it
+        come back second.
         """
+        carry = carry or {}
         columns = np.asarray(columns, dtype=np.int64)
         active = self.graph.degrees[nodes] > 0
         for v, column in zip(nodes[active].tolist(), columns[active].tolist()):
@@ -513,12 +545,19 @@ class MemoryAwareFramework:
                 what=self._charge_label(v, column),
             )
         samplers: list[NodeSampler | None] = [None] * len(nodes)
-        for column in np.unique(columns[active]).tolist():
+        moved: list[NodeSampler] = []
+        for column in sorted(set(columns[active].tolist()) | set(carry)):
             picked = np.flatnonzero(active & (columns == column))
             if column < len(SamplerKind):
+                kept = carry.get(column, [])
                 built = build_node_samplers(
-                    SamplerKind(column), self.graph, self.model, nodes[picked]
+                    SamplerKind(column),
+                    self.graph,
+                    self.model,
+                    nodes[picked],
+                    carry=kept,
                 )
+                moved += built[len(picked):]
             else:
                 spec = self.extra_samplers[column - len(SamplerKind)]
                 built = [
@@ -527,7 +566,7 @@ class MemoryAwareFramework:
                 ]
             for i, sampler in zip(picked.tolist(), built):
                 samplers[i] = sampler
-        return samplers
+        return samplers, moved
 
     def _charge_label(self, v: int, column: int) -> str:
         """The meter label of node ``v``'s sampler in ``column``."""

@@ -5,15 +5,41 @@ Sampler         How it draws the e2e sample    Held state
 ==============  =============================  ==========================
 Naive           builds the biased distribution  none (a shared scratch
                 on demand, inverse-CDF scan     array in spirit)
-Rejection       proposes from the n2e alias     n2e alias table + one
-                table, accepts with ``β_uvz``   acceptance factor per
+Rejection       proposes from the n2e alias     ``d_v`` slots of the
+                table, accepts with ``β_uvz``   rejection arena: n2e alias
+                                                table + one acceptance
+                                                factor per incoming edge
+Alias           looks up the pre-built alias    ``(d_v + 1) · d_v`` slots
+                table of edge ``(prev, v)``     of the alias arena: n2e
+                                                table + one e2e table per
                                                 incoming edge
-Alias           looks up the pre-built alias    one alias table per
-                table of edge ``(prev, v)``     incoming edge + n2e table
 ==============  =============================  ==========================
+
+Table arenas
+------------
+The rejection and alias samplers own no buffers.  A build writes the
+tables of every node of one kind into one :class:`TableArena`: a
+probability and an alias buffer (``float64``/``int64``), plus a buffer
+of acceptance factors for rejection samplers of a model without a
+closed-form bound.  Node ``v`` holds the slots from its offset ``o_v``:
+
+* alias: the n2e table at ``o_v``, and the e2e table of arrivals from
+  ``neighbors(v)[i]`` at ``o_v + (i + 1) · d_v``;
+* rejection: the n2e proposal table, and the acceptance factor of
+  arrivals from ``neighbors(v)[i]``, at ``o_v + i``.
+
+A sampler keeps its arena and offset.  The :class:`AliasTable` objects
+``first_order``, ``tables``, ``proposal`` and ``table_for`` return are
+views made when asked, and the scalar draws read the slots directly.
+The batch engine walks the arenas themselves
+(:class:`~repro.walks.BatchWalkEngine`), so the tables exist once.
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +56,7 @@ from ..cost import (
 )
 from ..exceptions import SamplerError, WalkError
 from ..graph import CSRGraph
+from ..graph.csr import segment_positions
 from ..models import SecondOrderModel
 from ..models.base import row_positions
 from ..sampling import AliasTable
@@ -136,7 +163,85 @@ class NaiveNodeSampler(NodeSampler):
         return naive_time(params, self.degree)
 
 
-class RejectionNodeSampler(NodeSampler):
+@dataclass(eq=False)
+class TableArena:
+    """The tables of many samplers of one kind, in flat buffers.
+
+    Each sampler owns the slots from its offset on (layout in the module
+    docstring).  ``factors`` holds rejection acceptance factors, or is
+    ``None`` when the model's closed-form bound serves every edge (and
+    always for the alias kind).
+    """
+
+    kind: SamplerKind
+    prob: np.ndarray
+    alias: np.ndarray
+    factors: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Real resident bytes of the buffers."""
+        total = self.prob.nbytes + self.alias.nbytes
+        if self.factors is not None:
+            total += self.factors.nbytes
+        return int(total)
+
+
+def _alias_draw(
+    arena: TableArena, start: int, size: int, rng: np.random.Generator
+) -> int:
+    """One draw from the alias table in slots ``start .. start + size - 1``
+    of ``arena``, in :meth:`AliasTable.sample`'s draw order."""
+    x = int(rng.integers(size))
+    if rng.random() <= arena.prob[start + x]:
+        return x
+    return int(arena.alias[start + x])
+
+
+def _table_view(arena: TableArena, start: int, size: int) -> AliasTable:
+    """The alias table in slots ``start .. start + size - 1`` of
+    ``arena``, as a view."""
+    end = start + size
+    return AliasTable._from_arrays(arena.prob[start:end], arena.alias[start:end])
+
+
+class _ArenaSampler(NodeSampler):
+    """A built-in sampler whose tables live in a :class:`TableArena`."""
+
+    _arena: TableArena
+    _offset: int
+
+    @classmethod
+    def _in_arena(
+        cls, graph: CSRGraph, model: SecondOrderModel, node: int,
+        arena: TableArena, offset: int,
+    ) -> "_ArenaSampler":
+        """The sampler of ``node`` over tables already in ``arena``."""
+        sampler = cls.__new__(cls)
+        NodeSampler.__init__(sampler, graph, model, node)
+        sampler._bind(arena, offset)
+        return sampler
+
+    def _bind(self, arena: TableArena, offset: int) -> None:
+        self._arena = arena
+        self._offset = int(offset)
+        self._neighbors = self.graph.neighbors(self.node)
+
+    def _moved(self, arena: TableArena, offset: int) -> "_ArenaSampler":
+        """A copy of this sampler (counters and all) over ``arena``, which
+        holds a copy of its tables from slot ``offset`` on."""
+        sampler = copy.copy(self)
+        sampler._arena = arena
+        sampler._offset = int(offset)
+        return sampler
+
+    @property
+    def arena(self) -> TableArena:
+        """The arena this sampler's tables live in."""
+        return self._arena
+
+
+class RejectionNodeSampler(_ArenaSampler):
     """Acceptance–rejection over the n2e proposal (paper Section 3.1).
 
     Proposal draws come from an alias table over ``N(v)``; a candidate ``z``
@@ -174,68 +279,65 @@ class RejectionNodeSampler(NodeSampler):
                 raise SamplerError(
                     f"{len(factors)} factors for degree-{self.degree} node"
                 )
-        ((prob, alias, own_factors),) = _rejection_states(
-            graph, model, np.array([self.node]), factors
+        arena, offsets = build_arena(
+            self.kind, graph, model, np.array([self.node]), factors=factors
         )
-        self._set_state(prob, alias, own_factors, max_tries)
+        self._bind(arena, offsets[0])
+        self._max_tries = int(max_tries)
 
     @staticmethod
     def _state_buffers(
-        degree: int, factored: bool, traced: bool
+        degrees: np.ndarray, factored: bool, traced: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The buffers one node's sampler owns: its n2e proposal table,
-        plus per-incoming-edge acceptance factors unless the model's
-        closed-form bound serves every edge.  ``traced`` reports their
-        real bytes to MSan."""
-        prob = np.empty(degree, dtype=np.float64)
-        alias = np.empty(degree, dtype=np.int64)
+        """The buffers of a rejection arena over nodes of ``degrees``: per
+        node, its n2e proposal table, plus per-incoming-edge acceptance
+        factors unless the model's closed-form bound serves every edge.
+        ``traced`` reports each node's real bytes to MSan."""
+        prob = np.empty(int(np.sum(degrees)), dtype=np.float64)
+        alias = np.empty(int(np.sum(degrees)), dtype=np.int64)
         factors = None
         if factored:
-            factors = np.empty(degree, dtype=np.float64)
+            factors = np.empty(int(np.sum(degrees)), dtype=np.float64)
         if traced:
-            nbytes = prob.nbytes + alias.nbytes
-            _msan_trace("alias_table", nbytes, d=degree)
-            if factors is not None:
-                nbytes += factors.nbytes
-            _msan_trace(
-                "rejection_state",
-                nbytes,
-                variant="bounded" if factors is None else None,
-                d=degree,
-            )
+            end = 0
+            for degree in degrees.tolist():
+                start, end = end, end + degree
+                nbytes = prob[start:end].nbytes + alias[start:end].nbytes
+                _msan_trace("alias_table", nbytes, d=degree)
+                if factors is not None:
+                    nbytes += factors[start:end].nbytes
+                _msan_trace(
+                    "rejection_state",
+                    nbytes,
+                    variant="bounded" if factors is None else None,
+                    d=degree,
+                )
         return prob, alias, factors
 
-    def _set_state(
-        self,
-        prob: np.ndarray,
-        alias: np.ndarray,
-        factors: np.ndarray | None,
-        max_tries: int = MAX_TRIES,
-    ) -> None:
-        self._proposal = AliasTable._from_arrays(prob, alias)
-        self._neighbors = self.graph.neighbors(self.node)
-        self._max_tries = int(max_tries)
+    def _bind(self, arena: TableArena, offset: int) -> None:
+        super()._bind(arena, offset)
+        self._max_tries = MAX_TRIES
         self._tries = 0
         self._accepted = 0
-        self._factors = factors
         self._global_factor: float | None = None
-        if factors is None:
+        if arena.factors is None:
             self._global_factor = 1.0 / self.model.max_ratio_bound(self.graph)
 
     # ------------------------------------------------------------------
     @property
     def proposal(self) -> AliasTable:
-        """The n2e alias table proposals are drawn from."""
-        return self._proposal
+        """The n2e alias table proposals are drawn from (a view)."""
+        return _table_view(self._arena, self._offset, len(self._neighbors))
 
     @property
     def edge_factors(self) -> np.ndarray | None:
         """Read-only per-incoming-edge acceptance factors aligned with
         ``graph.neighbors(node)``, or ``None`` when the model's closed-form
         bound serves every edge."""
-        if self._factors is None:
+        if self._arena.factors is None:
             return None
-        view = self._factors.view()
+        end = self._offset + len(self._neighbors)
+        view = self._arena.factors[self._offset : end]
         view.flags.writeable = False
         return view
 
@@ -246,19 +348,21 @@ class RejectionNodeSampler(NodeSampler):
         neighbors = self._neighbors
         position = int(np.searchsorted(neighbors, previous))
         if position < len(neighbors) and neighbors[position] == previous:
-            return float(self._factors[position])
+            return float(self._arena.factors[self._offset + position])
         # Previous node outside N(v) (possible after a restart on directed
         # traces): fall back to the exact factor computed on the fly.
         return 1.0 / edge_max_ratio(self.graph, self.model, previous, self.node)
 
+    def _propose(self, rng: np.random.Generator) -> int:
+        return _alias_draw(self._arena, self._offset, len(self._neighbors), rng)
+
     def sample_first(self, rng: np.random.Generator) -> int:
-        return int(self._neighbors[self._proposal.sample(rng)])
+        return int(self._neighbors[self._propose(rng)])
 
     def sample(self, previous: int, rng: np.random.Generator) -> int:
         factor = self.acceptance_factor(previous)
         for attempt in range(1, self._max_tries + 1):
-            position = self._proposal.sample(rng)
-            candidate = int(self._neighbors[position])
+            candidate = int(self._neighbors[self._propose(rng)])
             ratio = self.model.target_ratio(self.graph, previous, self.node, candidate)
             acceptance = min(1.0, ratio * factor)
             if rng.random() <= acceptance:
@@ -273,7 +377,7 @@ class RejectionNodeSampler(NodeSampler):
     def sample_first_batch(
         self, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return self._neighbors[self._proposal.sample_many(count, rng)].astype(
+        return self._neighbors[self.proposal.sample_many(count, rng)].astype(
             np.int64
         )
 
@@ -284,13 +388,14 @@ class RejectionNodeSampler(NodeSampler):
         are whole-array operations, looping only over the rejected
         remainder (geometrically shrinking, expected ``C_uv`` rounds)."""
         factor = self.acceptance_factor(previous)
+        proposal = self.proposal
         out = np.empty(count, dtype=np.int64)
         pending = np.arange(count)
         for _ in range(self._max_tries):
             if pending.size == 0:
                 break
             k = len(pending)
-            positions = self._proposal.sample_many(k, rng)
+            positions = proposal.sample_many(k, rng)
             candidates = self._neighbors[positions]
             ratios = self.model.target_ratios_subset(
                 self.graph, previous, self.node, candidates
@@ -323,7 +428,7 @@ class RejectionNodeSampler(NodeSampler):
         return rejection_time(params, self.degree, max(1.0, c_v))
 
 
-class AliasNodeSampler(NodeSampler):
+class AliasNodeSampler(_ArenaSampler):
     """Fully materialised e2e alias tables: ``O(1)`` time, ``O(d_v²)`` memory."""
 
     kind = SamplerKind.ALIAS
@@ -331,62 +436,85 @@ class AliasNodeSampler(NodeSampler):
     def __init__(self, graph: CSRGraph, model: SecondOrderModel, node: int) -> None:
         super().__init__(graph, model, node)
         self._require_neighbors()
-        ((prob, alias),) = _alias_states(graph, model, np.array([self.node]))
-        self._set_state(prob, alias)
+        arena, offsets = build_arena(
+            self.kind, graph, model, np.array([self.node])
+        )
+        self._bind(arena, offsets[0])
 
     @staticmethod
-    def _state_buffers(degree: int, traced: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The buffer pair one node's tables live in: ``degree + 1``
-        tables of ``degree`` outcomes — the n2e table first, then one e2e
-        table per previous node ``u ∈ N(v)``: the d_v² memory term.
-        ``traced`` reports their real bytes to MSan, table by table."""
-        prob = np.empty((degree + 1) * degree, dtype=np.float64)
-        alias = np.empty((degree + 1) * degree, dtype=np.int64)
+    def _state_buffers(
+        degrees: np.ndarray, traced: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The buffer pair of an alias arena over nodes of ``degrees``: per
+        node, ``degree + 1`` tables of ``degree`` outcomes — the n2e table
+        first, then one e2e table per previous node ``u ∈ N(v)``: the d_v²
+        memory term.  ``traced`` reports each node's real bytes to MSan,
+        table by table."""
+        prob = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=np.float64)
+        alias = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=np.int64)
         if traced:
-            nbytes = prob.nbytes + alias.nbytes
-            for _ in range(degree + 1):
-                _msan_trace("alias_table", nbytes // (degree + 1), d=degree)
-            _msan_trace("alias_state", nbytes, d=degree)
+            end = 0
+            for degree in degrees.tolist():
+                start, end = end, end + (degree + 1) * degree
+                nbytes = prob[start:end].nbytes + alias[start:end].nbytes
+                for _ in range(degree + 1):
+                    _msan_trace("alias_table", nbytes // (degree + 1), d=degree)
+                _msan_trace("alias_state", nbytes, d=degree)
         return prob, alias
 
-    def _set_state(self, prob: np.ndarray, alias: np.ndarray) -> None:
-        self._neighbors = self.graph.neighbors(self.node)
-        degree = len(self._neighbors)
-        tables = [
-            AliasTable._from_arrays(p, a)
-            for p, a in zip(prob.reshape(-1, degree), alias.reshape(-1, degree))
-        ]
-        self._first_order = tables[0]
+    def _bind(self, arena: TableArena, offset: int) -> None:
+        super()._bind(arena, offset)
         # On undirected graphs (the paper's setting) every walk arrives from
         # some u ∈ N(v); on directed graphs the previous node may be an
         # in-neighbour outside N(v), so extra tables are built on demand and
         # cached in _extra_tables.
-        self._tables = tables[1:]
         self._extra_tables: dict[int, AliasTable] = {}
+
+    def _row(self, i: int) -> int:
+        """First slot of table ``i``: the n2e table is 0, the e2e table of
+        arrivals from ``neighbors[j]`` is ``j + 1``."""
+        return self._offset + i * len(self._neighbors)
 
     @property
     def first_order(self) -> AliasTable:
-        """The n2e alias table (used for the first hop of a walk)."""
-        return self._first_order
+        """The n2e alias table (used for the first hop of a walk), a view."""
+        return _table_view(self._arena, self._row(0), len(self._neighbors))
 
     @property
     def tables(self) -> list[AliasTable]:
         """The pre-built e2e tables, aligned with ``graph.neighbors(node)``
-        (table ``i`` serves walks arriving from ``neighbors[i]``)."""
-        return self._tables
+        (table ``i`` serves walks arriving from ``neighbors[i]``), as
+        views."""
+        degree = len(self._neighbors)
+        return [
+            _table_view(self._arena, self._row(i + 1), degree)
+            for i in range(degree)
+        ]
+
+    def _position(self, previous: int) -> int:
+        """Index of ``previous`` in ``N(v)``, or -1 outside it."""
+        neighbors = self._neighbors
+        position = int(np.searchsorted(neighbors, previous))
+        if position < len(neighbors) and neighbors[position] == previous:
+            return position
+        return -1
 
     def sample_first(self, rng: np.random.Generator) -> int:
-        return int(self._neighbors[self._first_order.sample(rng)])
+        degree = len(self._neighbors)
+        return int(self._neighbors[_alias_draw(self._arena, self._row(0), degree, rng)])
 
     def table_for(self, previous: int) -> AliasTable:
         """The e2e alias table of edge ``(previous, node)``.
 
-        Prebuilt for ``previous ∈ N(v)``; built on demand and memoised for
-        out-of-neighbourhood arrivals (directed traces).
+        A view of the pre-built table for ``previous ∈ N(v)``; built on
+        demand and memoised for out-of-neighbourhood arrivals (directed
+        traces).
         """
-        position = int(np.searchsorted(self._neighbors, previous))
-        if position < len(self._neighbors) and self._neighbors[position] == previous:
-            return self._tables[position]
+        position = self._position(previous)
+        if position >= 0:
+            return _table_view(
+                self._arena, self._row(position + 1), len(self._neighbors)
+            )
         table = self._extra_tables.get(previous)
         if table is None:
             table = AliasTable(
@@ -396,13 +524,18 @@ class AliasNodeSampler(NodeSampler):
         return table
 
     def sample(self, previous: int, rng: np.random.Generator) -> int:
-        return int(self._neighbors[self.table_for(previous).sample(rng)])
+        position = self._position(previous)
+        if position < 0:
+            return int(self._neighbors[self.table_for(previous).sample(rng)])
+        degree = len(self._neighbors)
+        pick = _alias_draw(self._arena, self._row(position + 1), degree, rng)
+        return int(self._neighbors[pick])
 
     def sample_first_batch(
         self, count: int, rng: np.random.Generator
     ) -> np.ndarray:
         return self._neighbors[
-            self._first_order.sample_many(count, rng)
+            self.first_order.sample_many(count, rng)
         ].astype(np.int64)
 
     def sample_batch(
@@ -437,28 +570,38 @@ def build_node_sampler(
     raise SamplerError(f"unknown sampler kind {kind!r}")
 
 
+_ARENA_CLASSES: dict[SamplerKind, type[_ArenaSampler]] = {
+    SamplerKind.REJECTION: RejectionNodeSampler,
+    SamplerKind.ALIAS: AliasNodeSampler,
+}
+
+
 def build_node_samplers(
     kind: SamplerKind,
     graph: CSRGraph,
     model: SecondOrderModel,
     nodes: np.ndarray,
+    *,
+    carry: Sequence["_ArenaSampler"] = (),
 ) -> list[NodeSampler]:
     """Samplers of one kind for ``nodes``, in order.
 
     The same samplers :func:`build_node_sampler` returns one node at a
     time, with bit-identical tables and factors, but built in block
     passes over the nodes' edge states: one ratio or weight batch and one
-    lockstep Vose build per block instead of one per table.  Each node's
-    sampler owns its buffers, so dropping it frees them.
+    lockstep Vose build per block instead of one per table.  The
+    rejection and alias samplers share one :class:`TableArena`.
+
+    ``carry`` lists built samplers of ``kind`` whose tables go into the
+    new arena as well (a compaction, see :func:`build_arena`); copies of
+    them over it follow the samplers of ``nodes`` in the result, and the
+    originals keep their old arena.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if kind is SamplerKind.NAIVE:
         return [NaiveNodeSampler(graph, model, v) for v in nodes.tolist()]
-    if kind is SamplerKind.REJECTION:
-        cls, states = RejectionNodeSampler, _rejection_states
-    elif kind is SamplerKind.ALIAS:
-        cls, states = AliasNodeSampler, _alias_states
-    else:
+    cls = _ARENA_CLASSES.get(kind)
+    if cls is None:
         raise SamplerError(f"unknown sampler kind {kind!r}")
     # The constructors' checks, up front, before any table is built.
     for v in nodes.tolist():
@@ -466,91 +609,173 @@ def build_node_samplers(
             raise WalkError(f"node {v} out of range")
         if graph.degree(v) == 0:
             raise WalkError(f"node {v} has no neighbours to sample")
-    samplers = []
-    for v, state in zip(nodes.tolist(), states(graph, model, nodes)):
-        # The constructor's work minus its table build: the tables come
-        # from the block pass.
-        sampler = cls.__new__(cls)
-        NodeSampler.__init__(sampler, graph, model, v)
-        sampler._set_state(*state)
-        samplers.append(sampler)
-    return samplers
+    arena, offsets = build_arena(kind, graph, model, nodes, carry=carry)
+    kept = len(carry)
+    return [
+        cls._in_arena(graph, model, v, arena, offset)
+        for v, offset in zip(nodes.tolist(), offsets[kept:].tolist())
+    ] + [
+        sampler._moved(arena, offset)
+        for sampler, offset in zip(carry, offsets[:kept].tolist())
+    ]
 
 
-def _rejection_states(
+def build_arena(
+    kind: SamplerKind,
     graph: CSRGraph,
     model: SecondOrderModel,
     nodes: np.ndarray,
+    *,
     factors: np.ndarray | None = None,
-):
-    """Per node of ``nodes``, in order: its owned ``(prob, alias,
-    factors)`` buffers.
+    carry: Sequence["_ArenaSampler"] = (),
+) -> tuple[TableArena, np.ndarray]:
+    """One arena of ``kind`` holding the tables of ``carry`` and of
+    ``nodes``, plus the first slot of each of them, ``carry`` first.
 
-    ``factors`` supplies the acceptance factors of every state of
-    ``nodes``, in order.  Without them a model with a closed-form bound
-    gets none (``factors`` is ``None``), and any other model gets the
-    exact ``1 / max_t r_uvt`` of each incoming edge from one block ratio
-    pass — the rejection part of the paper's ``T_NS``.
+    ``carry`` samplers' tables are copied in (a compaction: survivors of
+    a budget update, or a hand-assembled sampler list made walkable); the
+    tables of ``nodes`` are built in block passes that write straight
+    into the arena.
+
+    ``factors`` supplies the rejection acceptance factors of every edge
+    state of ``nodes``, in order.  Without them a model with a
+    closed-form bound gets none, and any other model gets the exact
+    ``1 / max_t r_uvt`` of each incoming edge from one block ratio pass —
+    the rejection part of the paper's ``T_NS``.
     """
-    exact = factors is None and model.max_ratio_bound(graph) is None
-    factored = exact or factors is not None
+    nodes = np.asarray(nodes, dtype=np.int64)
+    held = np.array([sampler.node for sampler in carry], dtype=np.int64)
+    degrees = graph.degrees[np.concatenate((held, nodes))].astype(np.int64)
+    traced = _msan_active()
+    if kind is SamplerKind.ALIAS:
+        slots = (degrees + 1) * degrees
+        arena = TableArena(kind, *AliasNodeSampler._state_buffers(degrees, traced))
+    elif kind is SamplerKind.REJECTION:
+        slots = degrees
+        exact = factors is None and model.max_ratio_bound(graph) is None
+        arena = TableArena(
+            kind,
+            *RejectionNodeSampler._state_buffers(
+                degrees, exact or factors is not None, traced
+            ),
+        )
+    else:
+        raise SamplerError(f"sampler kind {kind!r} keeps no tables")
+    offsets = np.cumsum(slots) - slots
+    for sampler, start, size in zip(carry, offsets.tolist(), slots.tolist()):
+        source, at = sampler._arena, sampler._offset
+        end = start + size
+        arena.prob[start:end] = source.prob[at : at + size]
+        arena.alias[start:end] = source.alias[at : at + size]
+        if arena.factors is not None:
+            arena.factors[start:end] = source.factors[at : at + size]
+    fresh = offsets[len(carry):]
+    if kind is SamplerKind.ALIAS:
+        _fill_alias(arena, fresh, graph, model, nodes)
+    else:
+        _fill_rejection(arena, fresh, graph, model, nodes, factors)
+    return arena, offsets
+
+
+def _node_offsets(block, offsets: np.ndarray, started: int) -> np.ndarray:
+    """First slot of each of ``block``'s segments' nodes: ``started`` nodes
+    began before the block, and a segment with ``first == 0`` begins the
+    next one (an earlier block may have begun the block's first node)."""
+    return offsets[started + np.cumsum(block.first == 0) - 1]
+
+
+def _fill_rejection(
+    arena: TableArena,
+    offsets: np.ndarray,
+    graph: CSRGraph,
+    model: SecondOrderModel,
+    nodes: np.ndarray,
+    factors: np.ndarray | None,
+) -> None:
+    """Write the proposal tables and acceptance factors of ``nodes`` into
+    ``arena`` at ``offsets`` (see :func:`build_arena` for the factors)."""
+    exact = arena.factors is not None and factors is None
     widths = np.where(exact, graph.degrees[nodes], 1)
-    taken = 0
+    started = taken = 0
     for block in state_blocks(graph, nodes, widths):
-        n2e, n2e_sizes = row_positions(graph, block.nodes[block.first == 0])
-        tables = build_alias_tables(graph.weights[n2e], n2e_sizes)
+        begins = block.first == 0
+        at = _node_offsets(block, offsets, started)
+        started += int(np.count_nonzero(begins))
+        n2e, n2e_sizes = row_positions(graph, block.nodes[begins])
+        prob, alias = build_alias_tables(graph.weights[n2e], n2e_sizes)
+        slots = segment_positions(at[begins], n2e_sizes)
+        arena.prob[slots] = prob
+        arena.alias[slots] = alias
+        if arena.factors is None:
+            continue
         if exact:
             ratios, sizes = model.target_ratios_many(graph, block.us, block.vs)
             block_factors = 1.0 / np.maximum.reduceat(
                 ratios, np.cumsum(sizes) - sizes
             )
-        elif factors is not None:
+        else:
             block_factors = factors[taken : taken + len(block.us)]
             taken += len(block.us)
-        traced = _msan_active()
-        at = n2e_at = 0
-        for v, degree, first, count, last in block.segments():
-            if first == 0:
-                state = RejectionNodeSampler._state_buffers(
-                    degree, factored, traced
-                )
-                prob, alias, own = state
-                prob[:] = tables[0][n2e_at : n2e_at + degree]
-                alias[:] = tables[1][n2e_at : n2e_at + degree]
-                n2e_at += degree
-            if factored:
-                own[first : first + count] = block_factors[at : at + count]
-            at += count
-            if last:
-                yield state
+        arena.factors[segment_positions(at + block.first, block.counts)] = (
+            block_factors
+        )
 
 
-def _alias_states(graph: CSRGraph, model: SecondOrderModel, nodes: np.ndarray):
-    """Per node of ``nodes``, in order: its owned ``(prob, alias)`` table
-    buffers (layout in :meth:`AliasNodeSampler._state_buffers`)."""
+def _fill_alias(
+    arena: TableArena,
+    offsets: np.ndarray,
+    graph: CSRGraph,
+    model: SecondOrderModel,
+    nodes: np.ndarray,
+) -> None:
+    """Write the n2e and e2e tables of ``nodes`` into ``arena`` at
+    ``offsets``: one lockstep Vose build per block, in table order."""
+    started = 0
     for block in state_blocks(graph, nodes, graph.degrees[nodes]):
-        n2e, n2e_sizes = row_positions(graph, block.nodes[block.first == 0])
+        begins = block.first == 0
+        at = _node_offsets(block, offsets, started)
+        started += int(np.count_nonzero(begins))
+        n2e, n2e_sizes = row_positions(graph, block.nodes[begins])
         e2e, e2e_sizes = model.biased_weights_many(graph, block.us, block.vs)
         if not np.array_equal(e2e_sizes, np.repeat(block.degrees, block.counts)):
             raise SamplerError("biased_weights_many returned misaligned rows")
-        flat_prob, flat_alias = build_alias_tables(
+        prob, alias = build_alias_tables(
             np.concatenate((graph.weights[n2e], e2e)),
             np.concatenate((n2e_sizes, e2e_sizes)),
         )
-        traced = _msan_active()
-        n2e_at, e2e_at = 0, len(n2e)
-        for v, degree, first, count, last in block.segments():
-            if first == 0:
-                prob, alias = AliasNodeSampler._state_buffers(degree, traced)
-                prob[:degree] = flat_prob[n2e_at : n2e_at + degree]
-                alias[:degree] = flat_alias[n2e_at : n2e_at + degree]
-                n2e_at += degree
-            lo, size = (first + 1) * degree, count * degree
-            prob[lo : lo + size] = flat_prob[e2e_at : e2e_at + size]
-            alias[lo : lo + size] = flat_alias[e2e_at : e2e_at + size]
-            e2e_at += size
-            if last:
-                yield prob, alias
+        # The n2e table of each node the block begins, then every state's
+        # e2e table, at row first + 1 onwards of its node.
+        slots = segment_positions(
+            np.concatenate((at[begins], at + (block.first + 1) * block.degrees)),
+            np.concatenate((n2e_sizes, block.counts * block.degrees)),
+        )
+        arena.prob[slots] = prob
+        arena.alias[slots] = alias
+
+
+def joint_arena(
+    samplers: Sequence["_ArenaSampler"],
+) -> tuple[TableArena, np.ndarray]:
+    """One arena holding the tables of ``samplers`` (rejection or alias
+    samplers of one kind), plus each one's first slot in it.
+
+    Samplers built together share their arena, which comes back as it
+    is.  Samplers from several arenas (a hand-assembled list, e.g. of
+    one-node samplers) are copied into a new one.
+    """
+    arena = samplers[0]._arena
+    if all(s._arena is arena for s in samplers):
+        offsets = np.fromiter(
+            (s._offset for s in samplers),
+            dtype=np.int64,
+            count=len(samplers),
+        )
+        return arena, offsets
+    first = samplers[0]
+    return build_arena(
+        arena.kind, first.graph, first.model, np.empty(0, dtype=np.int64),
+        carry=samplers,
+    )
 
 
 def _inverse_cdf_batch(

@@ -124,15 +124,20 @@ class AutoregressiveModel(SecondOrderModel):
         us: np.ndarray,
         vs: np.ndarray,
         zs: np.ndarray,
+        *,
+        hops: np.ndarray | None = None,
     ) -> np.ndarray:
         if not isinstance(graph, CSRGraph):
-            return super().target_ratio_bulk(graph, us, vs, zs)
+            return super().target_ratio_bulk(graph, us, vs, zs, hops=hops)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         zs = np.asarray(zs, dtype=np.int64)
-        offsets, found = graph.edge_positions(vs, zs)
-        w_vz = np.zeros(len(zs), dtype=np.float64)
-        w_vz[found] = graph.weights[graph.indptr[vs[found]] + offsets[found]]
+        if hops is None:
+            offsets, found = graph.edge_positions(vs, zs)
+            w_vz = np.zeros(len(zs), dtype=np.float64)
+            w_vz[found] = graph.weights[graph.indptr[vs[found]] + offsets[found]]
+        else:
+            w_vz = graph.weights[hops]
         bad = np.flatnonzero(w_vz <= 0)
         if bad.size:
             v, z = int(vs[bad[0]]), int(zs[bad[0]])

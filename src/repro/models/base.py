@@ -192,12 +192,18 @@ class SecondOrderModel(ABC):
         us: np.ndarray,
         vs: np.ndarray,
         zs: np.ndarray,
+        *,
+        hops: np.ndarray | None = None,
     ) -> np.ndarray:
         """``r_uvz`` for aligned arrays of ``(u, v, z)`` triples.
 
         The batch walk engine's frontier-wide rejection step scores every
         walker's proposal in one call.  The default loops over
         :meth:`target_ratio`; concrete models override it vectorised.
+        ``hops``, when given, holds the flat CSR index of each edge
+        ``(v, z)`` (the engine draws proposals as edges), so a model can
+        read ``w_vz`` at ``graph.weights[hops]`` instead of searching for
+        the edge; the default ignores it.
         """
         return np.array(
             [

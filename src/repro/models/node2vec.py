@@ -133,6 +133,8 @@ class Node2VecModel(SecondOrderModel):
         us: np.ndarray,
         vs: np.ndarray,
         zs: np.ndarray,
+        *,
+        hops: np.ndarray | None = None,
     ) -> np.ndarray:
         us = np.asarray(us, dtype=np.int64)
         zs = np.asarray(zs, dtype=np.int64)

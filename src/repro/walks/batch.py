@@ -25,12 +25,16 @@ memory the optimizer paid for is actually exploited on the hot path:
   operations.  Each round gives every pending walker several proposals
   (more as fewer walkers remain) and a walker takes its first accepted
   one, so a step needs few rounds even at low acceptance;
-* **alias** nodes gather their pre-built e2e tables and resolve every
+* **alias** nodes read their pre-built e2e tables and resolve every
   walker with two uniform draws, no distribution rebuilds at all.  Each
   walker carries the flat CSR index of its last hop, and the reverse of
   that edge addresses its table: no edge search on the step;
 * custom samplers fall back to the per-group
   :meth:`~repro.framework.NodeSampler.sample_batch` API.
+
+The rejection and alias paths read the samplers' own table arenas (see
+:mod:`repro.framework.node_samplers`), one per kind, addressed per
+walker with pure arithmetic: the engine holds no copy of the tables.
 
 Determinism: for a fixed seed the output is a pure function of the start
 order — the dispatch order (naive → rejection → alias → fallback, groups
@@ -38,8 +42,8 @@ in sorted key order) is fixed, so worker count never changes the corpus
 (hash-pinned in the test suite).
 
 Step-centric kernels (ThunderRW-style): the engine methods are thin
-*drivers* — they regroup the frontier, materialise flat tables/weights,
-and **pre-draw every uniform** from the chunk generator (under
+*drivers* — they regroup the frontier, address the table arenas or
+materialise on-demand weights, and **pre-draw every uniform** from the chunk generator (under
 :func:`~repro.hotpath.kernel_scope` for sanitizer attribution) — while
 the actual array math lives in :mod:`repro.walks.kernels` behind a
 pluggable backend (``numpy`` reference kernels by default, compiled
@@ -51,13 +55,19 @@ draw-order digests prove it at the bit level.
 
 from __future__ import annotations
 
-from typing import Sequence
+import inspect
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..exceptions import SamplerError, WalkError
 from ..framework.interfaces import NodeSampler
-from ..framework.node_samplers import AliasNodeSampler, RejectionNodeSampler
+from ..framework.node_samplers import (
+    AliasNodeSampler,
+    RejectionNodeSampler,
+    TableArena,
+    joint_arena,
+)
 from ..graph import CSRGraph
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
@@ -134,91 +144,65 @@ class BatchWalkEngine:
                     kind_of[v] = _FALLBACK
         self._kind_of = kind_of
         self._global_bound = model.max_ratio_bound(graph)
-        self._consolidate_tables()
-        if self._e2e_base is not None or self._n2e_factor is not None:
-            # Table addressing by the carried hop (see _arrival_offsets)
-            # reads the graph's reverse-edge index: build it with the tables.
+        self._ratio_takes_hops = _takes_keyword(model.target_ratio_bulk, "hops")
+        self._rejection_arena, self._rejection_base = self._arena_of(_REJECTION)
+        self._alias_arena, self._alias_base = self._arena_of(_ALIAS)
+        if (
+            self._rejection_arena is not None
+            and self._global_bound is None
+            and self._rejection_arena.factors is None
+        ):
+            raise WalkError(
+                "rejection samplers hold no acceptance factors, and the "
+                "model has no closed-form ratio bound"
+            )
+        if self._alias_arena is not None or (
+            self._rejection_arena is not None and self._global_bound is None
+        ):
+            # Table and factor addressing by the carried hop (see
+            # _arrival_offsets) reads the graph's reverse-edge index: build
+            # it with the engine.
             graph.reverse_edges()
         self._dispatch_groups = {name: 0 for name in _KIND_NAMES.values()}
         self._dispatch_walkers = {name: 0 for name in _KIND_NAMES.values()}
         self._steps = 0
 
-    def _consolidate_tables(self) -> None:
-        """Flatten the assignment's pre-built alias tables into global
-        flat arrays, addressable per walker with pure arithmetic.
+    def _arena_of(
+        self, bucket: int
+    ) -> tuple[TableArena | None, np.ndarray | None]:
+        """The table arena of the ``bucket`` samplers, and ``base``: node
+        ``v``'s first slot in it at ``base[v]`` (-1 for other nodes).
 
-        Gathering thousands of small per-state table objects every step
-        (attribute lookups + ``np.concatenate`` of tiny arrays) dominates
-        the runtime once the frontier is large.  Consolidating once at
-        construction turns every later step into plain fancy indexing:
+        The engine walks the samplers' own arena: samplers built together
+        share one (every framework path builds one per kind), so it holds
+        no table bytes of its own.  Only a hand-assembled list whose
+        samplers come from several arenas is copied into a joint one (see
+        :func:`~repro.framework.node_samplers.joint_arena`).  Addressing,
+        with ``d = degree(v)``:
 
-        * ``_n2e_base[v]`` addresses node ``v``'s n2e table (the rejection
-          sampler's proposal / the alias sampler's first-order table),
-          ``degree(v)`` entries wide — also the proposal table of every
-          e2e rejection round;
-        * ``_e2e_base[v] + i * degree(v)`` addresses the e2e table of an
-          alias node ``v`` for walks arriving from its ``i``-th neighbour
+        * alias: the n2e table at ``base[v]``, and the e2e table of walks
+          arriving from the ``i``-th neighbour at ``base[v] + (i + 1) · d``
           (``i`` comes from the walker's carried hop, see
           :meth:`_arrival_offsets`);
-        * ``_n2e_factor[_n2e_base[v] + i]`` is rejection node ``v``'s
-          acceptance factor for walks arriving from its ``i``-th
-          neighbour, held only when the model has no closed-form bound
-          (alias nodes' entries are unused NaN).
-
-        The copy costs one extra instance of the assignment's alias-table
-        payload for the engine's lifetime: ``O(|E|)`` floats+ints for the
-        n2e layer plus the alias nodes' ``O(d_v²)`` e2e blocks — the same
-        order as the sampler state the optimizer already budgeted.
+        * rejection: the n2e proposal table at ``base[v]``, and the
+          acceptance factor of arrivals from the ``i``-th neighbour at
+          ``base[v] + i``.
         """
-        self._n2e_base: np.ndarray | None = None
-        self._e2e_base: np.ndarray | None = None
-        self._n2e_factor: np.ndarray | None = None
-        if self.samplers is None:
-            return
-        n2e_nodes = np.flatnonzero(
-            (self._kind_of == _REJECTION) | (self._kind_of == _ALIAS)
-        )
-        if n2e_nodes.size:
-            base = np.full(self._n, -1, dtype=np.int64)
-            probs, aliases, factors = [], [], []
-            offset = 0
-            for v in n2e_nodes:
-                sampler = self.samplers[int(v)]
-                rejection = self._kind_of[v] == _REJECTION
-                table = sampler.proposal if rejection else sampler.first_order
-                probs.append(table.probability_table)
-                aliases.append(table.alias_table)
-                if self._global_bound is None:
-                    factors.append(
-                        sampler.edge_factors
-                        if rejection
-                        else np.full(table.num_outcomes, np.nan)
-                    )
-                base[v] = offset
-                offset += table.num_outcomes
-            self._n2e_base = base
-            self._n2e_prob = np.concatenate(probs)
-            self._n2e_alias_tab = np.concatenate(aliases).astype(
-                np.int64, copy=False
-            )
-            if factors:
-                self._n2e_factor = np.concatenate(factors)
-        alias_nodes = np.flatnonzero(self._kind_of == _ALIAS)
-        if alias_nodes.size:
-            base = np.full(self._n, -1, dtype=np.int64)
-            probs, aliases = [], []
-            offset = 0
-            for v in alias_nodes:
-                base[v] = offset
-                for table in self.samplers[int(v)].tables:
-                    probs.append(table.probability_table)
-                    aliases.append(table.alias_table)
-                    offset += table.num_outcomes
-            self._e2e_base = base
-            self._e2e_prob = np.concatenate(probs)
-            self._e2e_alias_tab = np.concatenate(aliases).astype(
-                np.int64, copy=False
-            )
+        nodes = np.flatnonzero(self._kind_of == bucket)
+        if self.samplers is None or nodes.size == 0:
+            return None, None
+        arena, offsets = joint_arena([self.samplers[v] for v in nodes.tolist()])
+        base = np.full(self._n, -1, dtype=np.int64)
+        base[nodes] = offsets
+        return arena, base
+
+    def table_arenas(self) -> dict[str, TableArena]:
+        """The table arenas the engine walks, by sampler kind."""
+        arenas = {
+            "rejection": self._rejection_arena,
+            "alias": self._alias_arena,
+        }
+        return {name: arena for name, arena in arenas.items() if arena is not None}
 
     # ------------------------------------------------------------------
     # public API
@@ -277,7 +261,7 @@ class BatchWalkEngine:
 
         ``dispatch`` counts served groups/walkers per sampler kind across
         all e2e steps (the naive path counts distinct edge states, the
-        consolidated rejection/alias paths distinct current nodes).  Every
+        rejection/alias arena paths distinct current nodes).  Every
         value is a monotonically increasing integer, so per-chunk deltas
         merge associatively across worker processes (see
         :mod:`repro.walks.metrics`).
@@ -454,7 +438,8 @@ class BatchWalkEngine:
         kb = self.backend
         u_arr = previous[sub]
         v_arr = current[sub]
-        base_all = self._n2e_base[v_arr]
+        arena = self._rejection_arena
+        base_all = self._rejection_base[v_arr]
         d_all = self.graph.degrees[v_arr].astype(np.int64, copy=False)
         starts_all = self.graph.indptr[v_arr]
         factors = self._acceptance_factors(u_arr, v_arr, edge[sub])
@@ -481,8 +466,8 @@ class BatchWalkEngine:
                 u_column = gen.random(n)
                 u_keep = gen.random(n)
             picks = kb.flat_alias_pick(
-                self._n2e_prob,
-                self._n2e_alias_tab,
+                arena.prob,
+                arena.alias,
                 base_all[rows],
                 d_all[rows],
                 u_column,
@@ -490,9 +475,14 @@ class BatchWalkEngine:
             )
             hops = starts_all[rows] + picks
             z = self.graph.indices[hops]
-            ratios = self.model.target_ratio_bulk(
-                self.graph, u_arr[rows], v_arr[rows], z
-            )
+            if self._ratio_takes_hops:
+                ratios = self.model.target_ratio_bulk(
+                    self.graph, u_arr[rows], v_arr[rows], z, hops=hops
+                )
+            else:
+                ratios = self.model.target_ratio_bulk(
+                    self.graph, u_arr[rows], v_arr[rows], z
+                )
             with kernel_scope("acceptance_mask"):
                 u_accept = gen.random(n)
             accepted = kb.acceptance_mask(ratios, factors[rows], u_accept)
@@ -512,8 +502,8 @@ class BatchWalkEngine:
         self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
     ) -> np.ndarray:
         """``1 / max_t r_uvt`` per walker: the model's closed-form bound
-        when it has one, else the consolidated per-edge factors addressed
-        by the previous node's position in ``N(v)`` (see
+        when it has one, else the rejection arena's per-edge factors,
+        addressed by the previous node's position in ``N(v)`` (see
         :meth:`_arrival_offsets`).  Arrivals from outside ``N(v)``
         (directed graphs only) ask the sampler, once per distinct edge
         state."""
@@ -521,8 +511,8 @@ class BatchWalkEngine:
             return np.full(len(u_arr), 1.0 / self._global_bound)
         offsets, found = self._arrival_offsets(u_arr, v_arr, edges)
         factors = np.empty(len(u_arr), dtype=np.float64)
-        positions = self._n2e_base[v_arr[found]] + offsets[found]
-        factors[found] = self._n2e_factor[positions]
+        positions = self._rejection_base[v_arr[found]] + offsets[found]
+        factors[found] = self._rejection_arena.factors[positions]
         if not found.all():
             outside = ~found
             keys = u_arr[outside] * self._n + v_arr[outside]
@@ -573,8 +563,8 @@ class BatchWalkEngine:
         v_arr = current[sub]
         total = len(sub)
         groups = self._distinct_nodes(v_arr)
-        # Position of the previous node within N(v) addresses the
-        # consolidated table; out-of-neighbourhood arrivals (possible on
+        # Position of the previous node within N(v) addresses its e2e
+        # table in the arena; out-of-neighbourhood arrivals (possible on
         # directed traces) take the on-demand per-state path below.
         offsets, found = self._arrival_offsets(u_arr, v_arr, edge[sub])
         extra = None
@@ -585,12 +575,17 @@ class BatchWalkEngine:
             offsets = offsets[found]
         if len(sub):
             d = self.graph.degrees[v_arr].astype(np.int64, copy=False)
-            base = self._e2e_base[v_arr] + offsets * d
+            base = self._alias_base[v_arr] + (offsets + 1) * d
             with kernel_scope("flat_alias_pick"):
                 u_column = gen.random(len(sub))
                 u_keep = gen.random(len(sub))
             picks = kb.flat_alias_pick(
-                self._e2e_prob, self._e2e_alias_tab, base, d, u_column, u_keep
+                self._alias_arena.prob,
+                self._alias_arena.alias,
+                base,
+                d,
+                u_column,
+                u_keep,
             )
             self._take_hops(sub, self.graph.indptr[v_arr] + picks, edge, trails, t)
         if extra is not None:
@@ -639,13 +634,18 @@ class BatchWalkEngine:
     ) -> None:
         kb = self.backend
         v_arr = current[sub]
+        arena, base = (
+            (self._rejection_arena, self._rejection_base)
+            if bucket == _REJECTION
+            else (self._alias_arena, self._alias_base)
+        )
         with kernel_scope("flat_alias_pick"):
             u_column = gen.random(len(sub))
             u_keep = gen.random(len(sub))
         picks = kb.flat_alias_pick(
-            self._n2e_prob,
-            self._n2e_alias_tab,
-            self._n2e_base[v_arr],
+            arena.prob,
+            arena.alias,
+            base[v_arr],
             self.graph.degrees[v_arr].astype(np.int64, copy=False),
             u_column,
             u_keep,
@@ -834,6 +834,15 @@ def batch_second_order_pagerank(
     if total > 0:
         scores /= total
     return scores
+
+
+def _takes_keyword(fn: Callable[..., Any], name: str) -> bool:
+    """Whether ``fn`` accepts the keyword ``name``: models written before
+    ``target_ratio_bulk`` took ``hops`` keep working without it."""
+    return any(
+        p.name == name or p.kind is inspect.Parameter.VAR_KEYWORD
+        for p in inspect.signature(fn).parameters.values()
+    )
 
 
 def _trim_trail(row: np.ndarray) -> np.ndarray:

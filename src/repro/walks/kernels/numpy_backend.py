@@ -126,7 +126,7 @@ def flat_alias_pick(
     u_column: npt.NDArray[np.float64],
     u_keep: npt.NDArray[np.float64],
 ) -> npt.NDArray[np.int64]:
-    """Walker-parallel alias draw over consolidated flat tables.
+    """Walker-parallel alias draw over flat table arenas.
 
     Walker ``w`` resolves the ``sizes[w]``-wide alias table starting at
     ``base[w]`` with its two pre-drawn uniforms: ``u_column`` selects the

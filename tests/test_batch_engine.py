@@ -280,7 +280,7 @@ class TestRejectionFactors:
         ids=["unit", "weighted", "directed", "weighted-directed"],
     )
     def test_factors_match_per_state_oracle(self, weighted, directed):
-        """The consolidated per-edge factors equal each sampler's own
+        """The rejection arena's per-edge factors equal each sampler's own
         ``acceptance_factor``, arrivals from outside ``N(v)`` included."""
         graph = _random_graph(weighted=weighted, directed=directed)
         model = AutoregressiveModel(alpha=0.2)

@@ -218,6 +218,12 @@ def _table_arrays(sampler) -> list[np.ndarray]:
     return [x for t in tables for x in (t.probability_table, t.alias_table)]
 
 
+def _slot(buffer: np.ndarray, view: np.ndarray) -> int:
+    """Index of ``view``'s first element in ``buffer``."""
+    delta = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+    return delta // buffer.itemsize
+
+
 class TestNodeSamplerBlocks:
     @pytest.mark.parametrize("kind", ["weighted", "directed"])
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -270,16 +276,35 @@ class TestNodeSamplerBlocks:
                 for u in graph.neighbors(v).tolist():
                     assert alone.acceptance_factor(u) == sampler.acceptance_factor(u)
 
-    def test_each_node_owns_its_buffers(self, block_entries):
+    def test_nodes_of_a_pass_share_one_arena(self, block_entries):
+        # One arena per pass, each node's tables at its documented slots,
+        # and the slots tile the arena: no buffer of a node's own, no gap.
         graph = _graph("weighted", seed=16)
-        model = Node2VecModel(0.5, 2.0)
+        model = AutoregressiveModel(0.3)  # exact factors: three buffers
         nodes = np.flatnonzero(graph.degrees > 0)
-        owners = set()
-        for sampler in build_node_samplers(SamplerKind.ALIAS, graph, model, nodes):
-            bases = {id(array.base) for array in _table_arrays(sampler)}
-            assert len(bases) == 2  # one probability and one alias buffer
-            assert not bases & owners
-            owners |= bases
+        for kind in (SamplerKind.REJECTION, SamplerKind.ALIAS):
+            built = build_node_samplers(kind, graph, model, nodes)
+            arena = built[0].arena
+            slots = []
+            for sampler in built:
+                assert sampler.arena is arena
+                arrays = _table_arrays(sampler)
+                d = sampler.degree
+                start = _slot(arena.prob, arrays[0])
+                for i, array in enumerate(arrays):
+                    buffer = arena.prob if i % 2 == 0 else arena.alias
+                    assert array.base is buffer
+                    assert _slot(buffer, array) == start + (i // 2) * d
+                if kind is SamplerKind.REJECTION:
+                    factors = sampler.edge_factors
+                    assert factors.base is arena.factors
+                    assert _slot(arena.factors, factors) == start
+                slots.append((start, len(arrays) // 2 * d))
+            slots.sort()
+            assert slots[0][0] == 0
+            for (start, size), (following, _) in zip(slots, slots[1:]):
+                assert start + size == following
+            assert sum(size for _, size in slots) == len(arena.prob)
 
     def test_supplied_factors_are_kept(self):
         graph = _graph("unit", seed=17)

@@ -98,7 +98,7 @@ class TestRejectionNodeSampler:
     def test_uses_exact_factors_for_autoregressive(self, toy_graph, auto_model):
         sampler = RejectionNodeSampler(toy_graph, auto_model, 0)
         assert sampler._global_factor is None
-        assert len(sampler._factors) == 3
+        assert len(sampler.edge_factors) == 3
 
     def test_explicit_factors(self, toy_graph, nv_model, rng):
         factors = np.full(3, 0.1)  # conservative → still correct, slower
@@ -158,7 +158,7 @@ class TestRejectionNodeSampler:
 class TestAliasNodeSampler:
     def test_one_table_per_incoming_edge(self, toy_graph, nv_model):
         sampler = AliasNodeSampler(toy_graph, nv_model, 0)
-        assert len(sampler._tables) == 3
+        assert len(sampler.tables) == 3
 
     def test_costs_match_table1(self, toy_graph, nv_model):
         sampler = AliasNodeSampler(toy_graph, nv_model, 0)
