@@ -26,7 +26,7 @@ Scenarios:
 Usage::
 
     python benchmarks/bench_crawl.py                   # full run
-    python benchmarks/bench_crawl.py --quick --check   # CI smoke gate
+    python benchmarks/bench_crawl.py --quick --check   # CI smoke gate, writes no file
     python benchmarks/bench_crawl.py --output BENCH_crawl.json
 
 ``--check`` exits non-zero unless the estimators converge, the history
@@ -273,8 +273,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default="BENCH_crawl.json",
-        help="result JSON path (default: BENCH_crawl.json)",
+        default=None,
+        help=(
+            "result JSON path (default: BENCH_crawl.json for the full "
+            "run; --quick writes only when this is given)"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -342,9 +345,10 @@ def main(argv=None) -> int:
         "resilience": resilience,
         "breaker_recovery": recovery,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"[bench_crawl] wrote {output}")
+    output = args.output or (None if args.quick else "BENCH_crawl.json")
+    if output:
+        Path(output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        print(f"[bench_crawl] wrote {output}")
 
     if args.check:
         failures = []

@@ -45,8 +45,8 @@ pre-drawn uniform stream, so the matrix measures pure kernel speed.
 Usage::
 
     python benchmarks/bench_engine.py                  # full trajectory
-    python benchmarks/bench_engine.py --smoke --check  # CI smoke gate
-    python benchmarks/bench_engine.py --quick --check  # CI, no extrapolation
+    python benchmarks/bench_engine.py --smoke --check  # CI smoke gate, writes no file
+    python benchmarks/bench_engine.py --quick --check  # CI, no extrapolation, writes no file
     python benchmarks/bench_engine.py --output BENCH_walks.json
 
 ``--check`` exits non-zero if any batch configuration fails to beat the
@@ -339,8 +339,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default="BENCH_walks.json",
-        help="result JSON path (default: BENCH_walks.json)",
+        default=None,
+        help=(
+            "result JSON path (default: BENCH_walks.json for the full "
+            "run; --quick and --smoke write only when this is given)"
+        ),
     )
     parser.add_argument(
         "--time-budget",
@@ -420,9 +423,12 @@ def main(argv=None) -> int:
         },
         "results": results,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"[bench_engine] wrote {output}")
+    output = args.output or (
+        None if args.quick or args.smoke else "BENCH_walks.json"
+    )
+    if output:
+        Path(output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        print(f"[bench_engine] wrote {output}")
 
     if args.check:
         failures = []

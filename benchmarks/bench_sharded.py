@@ -6,9 +6,10 @@ over an on-disk sharded CSR layout, sweeping the resident-shard cap for
 both scheduling policies:
 
 1. **bucketed** — walks park in the bucket of the shard holding their
-   frontier node; the scheduler drains the most-populated bucket to
-   exhaustion before faulting the next shard (GraSorw's bi-block idea:
-   I/O scales with bucket drains, not steps);
+   frontier node; the scheduler advances the most-populated bucket one
+   hop at a time, faulting a shard only when the fullest bucket sits on
+   one that is not resident (GraSorw's bi-block idea: I/O scales with
+   bucket visits, not steps);
 2. **lockstep** — the naive comparator: one global step per round,
    faulting whatever shards that round's frontier touches.
 
@@ -21,7 +22,7 @@ zero-I/O throughput ceiling.
 Usage::
 
     python benchmarks/bench_sharded.py                   # full sweep
-    python benchmarks/bench_sharded.py --quick --check   # CI smoke gate
+    python benchmarks/bench_sharded.py --quick --check   # CI smoke gate, writes no file
     python benchmarks/bench_sharded.py --output BENCH_sharded.json
 
 ``--check`` exits non-zero unless (a) every configuration's corpus hash
@@ -179,8 +180,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default="BENCH_sharded.json",
-        help="result JSON path (default: BENCH_sharded.json)",
+        default=None,
+        help=(
+            "result JSON path (default: BENCH_sharded.json for the full "
+            "sweep; --quick writes only when this is given)"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -216,9 +220,11 @@ def main(argv=None) -> int:
         )
     print(f"in-memory reference: {result['reference']['walks_per_sec']} walks/s")
 
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-    print(f"written to {args.output}")
+    output = args.output or (None if args.quick else "BENCH_sharded.json")
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+        print(f"written to {output}")
 
     if args.check:
         failures = check_result(result)

@@ -259,7 +259,7 @@ def build_tool_parser() -> argparse.ArgumentParser:
         choices=["bucketed", "lockstep"],
         help=(
             "walk scheduling policy with --shards: 'bucketed' parks walks "
-            "per shard and drains the fullest bucket first, 'lockstep' "
+            "per shard and steps the fullest bucket first, 'lockstep' "
             "faults shards on demand every global step (same corpus, "
             "more shard loads)"
         ),

@@ -868,10 +868,12 @@ class ShardResidencyManager:
                 # np.asarray makes a zero-copy ndarray *view* of the mapped
                 # buffer (the mmap stays alive via .base): pages are still
                 # faulted lazily, but downstream kernels — numba included —
-                # see the exact ndarray type they are compiled for.
+                # see the exact ndarray type they are compiled for.  The
+                # path goes in as a str: numpy resolves a Path (one lstat
+                # per component) on every map.
                 arrays[shard_file.role] = np.asarray(
                     np.memmap(
-                        shard_file.path,
+                        str(shard_file.path),
                         dtype=np.dtype(shard_file.dtype),
                         mode="r",
                         shape=(shard_file.count,),

@@ -3,12 +3,13 @@
 GraSorw's key insight (PAPERS.md): when the graph does not fit in memory,
 the unit of I/O should be the *shard*, not the step.  Each walk is parked
 in the bucket of the shard holding its current node; the scheduler pins
-one shard (most-populated bucket first), advances **every** walk in that
-bucket through the existing step-centric ``@hot_path`` kernels until each
-one either finishes, dies at a sink, or crosses a shard boundary — at
-which point it is re-bucketed.  One shard load is thus amortised across
-every resident walk, so I/O cost scales with shard loads rather than with
-walk steps.
+the shard of the most-populated bucket and advances **every** walk in it
+one hop through the existing step-centric ``@hot_path`` kernels (one
+micro-step per bucket visit).  Walks that crossed a shard boundary are
+re-bucketed; walks still inside go back into the same bucket, so while
+that bucket stays the fullest its shard is stepped again without a
+reload.  One shard load is thus amortised across every resident walk, so
+I/O cost scales with shard loads rather than with walk steps.
 
 Determinism contract
 --------------------
@@ -34,11 +35,11 @@ shard ``B`` needs the adjacency row of its *previous* node (still in
 ``A``) to weight its next hop.  While ``A`` is resident, each micro-step
 copies the rows of every crossing walker's previous node out of it in one
 segmented gather, packed per destination shard (:class:`_CarriedRows`).
-The rows live with the destination bucket: only that bucket's first
-micro-step reads them (a walker's first hop after arriving), and they are
-dropped once it has run; a gather feeding several destinations is freed
-when the last of them has run, so carried memory is bounded by the
-gathers that still have a walker in flight.  The :class:`_ShardView`
+The rows live with the destination bucket: its next visit's micro-step
+reads them (a walker's first hop after arriving), and they are dropped
+once it has run; a gather feeding several destinations is freed when the
+last of them has run, so carried memory is bounded by the gathers that
+still have a walker in flight.  The :class:`_ShardView`
 resolves every row a model asks for from the focus shard or the carried
 rows, answers neighbour checks for a whole micro-step with one
 composite-key ``searchsorted``, and fails loudly on a row it holds
@@ -596,11 +597,13 @@ class BucketedWalkScheduler:
     # scheduling policies
     # ------------------------------------------------------------------
     def _run_bucketed(self, state: _ChunkState) -> None:
-        """Bi-block schedule: drain the most populated bucket first.
+        """Bi-block schedule: one micro-step on the fullest bucket at a time.
 
         A bucket holds the walkers parked on one shard (as arrays) and,
-        in ``state.carried``, the rows they carried in; those rows are
-        read by the bucket's first micro-step only, then dropped.
+        in ``state.carried``, the rows they carried in; a visit advances
+        every member one hop, reading and dropping those rows.  Members
+        still inside the shard go back into its bucket, so a shard that
+        stays the fullest is stepped again while it is still resident.
         """
         walkers = np.flatnonzero(state.active)
         buckets: dict[int, list[np.ndarray]] = {
@@ -615,11 +618,8 @@ class BucketedWalkScheduler:
             carried = _CarriedRows.merge(state.carried.pop(sid, []))
             shard = self.manager.acquire(sid)
             self._bucket_visits += 1
-            while members.size:
-                members, arrivals = self._advance(state, shard, members, carried)
-                carried = _NO_CARRIED_ROWS
-                for dest, group in arrivals:
-                    buckets.setdefault(dest, []).append(group)
+            for dest, group in self._advance(state, shard, members, carried):
+                buckets.setdefault(dest, []).append(group)
 
     def _run_lockstep(self, state: _ChunkState) -> None:
         """Naive comparator: one global step per round, shards on demand.
@@ -651,14 +651,14 @@ class BucketedWalkScheduler:
         shard: ShardData,
         members: np.ndarray,
         carried: _CarriedRows,
-    ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    ) -> list[tuple[int, np.ndarray]]:
         """Advance ``members`` (all on ``shard``) one hop.
 
         ``carried`` holds the rows of the members' off-shard previous
-        nodes.  Returns the members still active inside the shard, plus
-        ``(destination shard, walkers)`` groups for boundary crossings;
-        the rows those walkers carry are filed under their destination
-        in ``state.carried``.
+        nodes.  Returns the members still active as ``(shard, walkers)``
+        groups by the shard each now sits on, this one included; the
+        rows that crossing walkers carry are filed under their
+        destination in ``state.carried``.
         """
         depth = state.depth[members]
         first = members[depth == 0]
@@ -682,19 +682,14 @@ class BucketedWalkScheduler:
         self._steps += len(members)
 
         walking = members[state.active[members]]
-        if walking.size == 0:
-            return walking, []
         dests = np.asarray(
             self.graph.shard_of(state.current[walking]), dtype=np.int64
         )
-        inside = dests == shard.index
-        leaving = walking[~inside]
-        if leaving.size == 0:
-            return walking, []
-        self._crossings += len(leaving)
-        dests = dests[~inside]
-        self._carry(state, shard, state.previous[leaving], dests)
-        return walking[inside], _group_by(leaving, dests)
+        leaving = dests != shard.index
+        if leaving.any():
+            self._crossings += int(leaving.sum())
+            self._carry(state, shard, state.previous[walking[leaving]], dests[leaving])
+        return _group_by(walking, dests)
 
     def _carry(
         self,

@@ -394,13 +394,36 @@ class TestShardViewOracle:
 # ----------------------------------------------------------------------
 # faithfulness: the scheduler against the exact e2e distributions
 # ----------------------------------------------------------------------
+def faithfulness_cases(models, shard_counts):
+    """``(model, policy, num_shards)`` params; the bucketed 12-shard case
+    is the original one and keeps its bare model id."""
+    return [
+        pytest.param(
+            model, policy, num_shards,
+            id=repr(model)
+            if (policy, num_shards) == ("bucketed", 12)
+            else f"{model!r}-{policy}-{num_shards}",
+        )
+        for model in models
+        for policy in ("bucketed", "lockstep")
+        for num_shards in shard_counts
+    ]
+
+
 class TestSchedulerFaithfulness:
     """Walks from a few low-degree starts, concentrated enough that many
-    ``(prev, cur)`` contexts are well sampled, over 12 virtual shards so
-    that most hops cross a boundary.  A context whose two nodes sit in
+    ``(prev, cur)`` contexts are well sampled, under both policies and
+    over 1, 2, 4 and 12 virtual shards.  A context whose two nodes sit in
     different shards is sampled only through a carried row."""
 
     MODELS = [Node2VecModel(0.25, 4.0), AutoregressiveModel(0.5)]
+    ALL_SHARDS = faithfulness_cases(MODELS, [1, 2, 4, 12])
+    # One shard has no boundary, so no row is ever carried to perturb.
+    CARRYING = faithfulness_cases(MODELS, [2, 4, 12])
+
+    #: Least share of hops that cross a shard boundary, per shard count
+    #: (measured: 0, 0.29, 0.48, 0.63).  At 12 shards most hops cross.
+    CROSSING_FLOOR = {1: 0.0, 2: 0.25, 4: 0.45, 12: 0.5}
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -409,22 +432,25 @@ class TestSchedulerFaithfulness:
         return graph, starts
 
     @staticmethod
-    def diagnose(graph, starts, model):
+    def diagnose(graph, starts, model, policy, num_shards):
         corpus = scheduled_walks(
             graph, model, starts=starts, num_walks=1500, length=3, rng=3,
-            num_shards=12,
+            num_shards=num_shards, policy=policy,
         )
         return corpus, diagnose_walks(graph, model, corpus, min_samples=200)
 
-    @pytest.mark.parametrize("model", MODELS, ids=repr)
-    def test_faithful_at_high_crossing_rate(self, setup, model):
-        corpus, diagnostics = self.diagnose(*setup, model)
-        assert corpus.metadata["sharded"]["crossings"] >= 0.5 * corpus.metadata["steps"]
+    @pytest.mark.parametrize("model, policy, num_shards", ALL_SHARDS)
+    def test_faithful_at_high_crossing_rate(self, setup, model, policy, num_shards):
+        corpus, diagnostics = self.diagnose(*setup, model, policy, num_shards)
+        floor = self.CROSSING_FLOOR[num_shards]
+        assert corpus.metadata["sharded"]["crossings"] >= floor * corpus.metadata["steps"]
         assert diagnostics.contexts_checked >= 50
         assert diagnostics.is_faithful(max_noise_units=4.0)
 
-    @pytest.mark.parametrize("model", MODELS, ids=repr)
-    def test_perturbed_carried_rows_are_caught(self, setup, model, monkeypatch):
+    @pytest.mark.parametrize("model, policy, num_shards", CARRYING)
+    def test_perturbed_carried_rows_are_caught(
+        self, setup, model, policy, num_shards, monkeypatch
+    ):
         merge = _CarriedRows.merge
 
         def shifted(cls, blocks):
@@ -432,7 +458,7 @@ class TestSchedulerFaithfulness:
             return cls(rows.nodes, rows.indptr, rows.indices + 1, rows.weights)
 
         monkeypatch.setattr(_CarriedRows, "merge", classmethod(shifted))
-        _, diagnostics = self.diagnose(*setup, model)
+        _, diagnostics = self.diagnose(*setup, model, policy, num_shards)
         assert not diagnostics.is_faithful(max_noise_units=4.0)
 
 
@@ -472,6 +498,21 @@ class TestDeterminism:
             bucketed.metadata["sharded"]["shard_loads"]
             < lockstep.metadata["sharded"]["shard_loads"]
         )
+
+    def test_bucket_visit_runs_one_micro_step(self, graph, model, monkeypatch):
+        calls = []
+        advance = BucketedWalkScheduler._advance
+
+        def spy(self, *args):
+            calls.append(1)
+            return advance(self, *args)
+
+        monkeypatch.setattr(BucketedWalkScheduler, "_advance", spy)
+        corpus = scheduled_walks(
+            graph, model, num_walks=2, length=12, rng=11, num_shards=4,
+            max_resident=1,
+        )
+        assert len(calls) == corpus.metadata["sharded"]["bucket_visits"] > 0
 
     def test_counters_are_worker_invariant(self, layout, model):
         reference = None
