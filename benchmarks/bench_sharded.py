@@ -1,9 +1,11 @@
 """Out-of-core scheduler benchmark: bucketed bi-block vs lockstep faulting.
 
-Measures walk throughput (walks/second) and shard I/O (shard loads per
-thousand steps, bytes read) for the :class:`~repro.walks.BucketedWalkScheduler`
-over an on-disk sharded CSR layout, sweeping the resident-shard cap for
-both scheduling policies:
+Measures walk throughput (walks/second: the median of 5 runs of each
+cell, with min and max; the runs must agree on every counter and on the
+corpus) and shard I/O (shard loads per thousand steps, bytes read) for
+the :class:`~repro.walks.BucketedWalkScheduler` over an on-disk sharded
+CSR layout, sweeping the resident-shard cap for both scheduling
+policies:
 
 1. **bucketed** — walks park in the bucket of the shard holding their
    frontier node; the scheduler advances the most-populated bucket one
@@ -37,6 +39,7 @@ import argparse
 import hashlib
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -56,23 +59,60 @@ def corpus_sha(corpus) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+#: Timed runs of every cell.  Walks/s is reported as the median of the
+#: runs with their min and max: one run per cell cannot rank the
+#: policies on a shared machine.
+REPEATS = 5
+
+
+def timed_runs(make_engine, *, num_walks, length, seed):
+    """Walk a fresh engine :data:`REPEATS` times.
+
+    Returns ``(rate, counters, sha, walks)``: the walks/s summary, then
+    the counters, corpus hash and walk count every run agreed on.  Runs
+    that disagree on counters or corpus raise — they would mean the cell
+    is not deterministic, and then no rate of it means anything.
+    """
+    rates = []
+    outcomes = set()
+    for _ in range(REPEATS):
+        engine = make_engine()
+        started = time.perf_counter()
+        corpus = engine.walks(num_walks=num_walks, length=length, rng=seed)
+        rates.append(len(corpus) / (time.perf_counter() - started))
+        outcomes.add(
+            (json.dumps(engine.counters(), sort_keys=True), corpus_sha(corpus))
+        )
+    if len(outcomes) != 1:
+        raise RuntimeError(
+            f"{REPEATS} runs of one cell disagree on counters or corpus"
+        )
+    ((counters, sha),) = outcomes
+    rate = {
+        "walks_per_sec": round(statistics.median(rates), 2),
+        "walks_per_sec_min": round(min(rates), 2),
+        "walks_per_sec_max": round(max(rates), 2),
+    }
+    return rate, json.loads(counters), sha, len(corpus)
+
+
 def run_config(layout, model, *, policy, max_resident, num_walks, length, seed):
     """Benchmark one (policy, residency-cap) cell; returns (row, sha)."""
-    engine = BucketedWalkScheduler(
-        layout, model, policy=policy, max_resident=max_resident
+    rate, counters, sha, walks = timed_runs(
+        lambda: BucketedWalkScheduler(
+            layout, model, policy=policy, max_resident=max_resident
+        ),
+        num_walks=num_walks,
+        length=length,
+        seed=seed,
     )
-    started = time.perf_counter()
-    corpus = engine.walks(num_walks=num_walks, length=length, rng=seed)
-    seconds = time.perf_counter() - started
-    counters = engine.counters()
     sharded = counters["sharded"]
     steps = max(1, counters["steps"])
     row = {
         "policy": policy,
         "max_resident": max_resident,
-        "walks": len(corpus),
-        "seconds": round(seconds, 3),
-        "walks_per_sec": round(len(corpus) / seconds, 2) if seconds > 0 else None,
+        "walks": walks,
+        **rate,
         "steps": int(counters["steps"]),
         "shard_loads": int(sharded["shard_loads"]),
         "loads_per_kstep": round(1000.0 * sharded["shard_loads"] / steps, 3),
@@ -80,7 +120,7 @@ def run_config(layout, model, *, policy, max_resident, num_walks, length, seed):
         "shard_bytes_read": int(sharded["shard_bytes_read"]),
         "crossings": int(sharded["crossings"]),
     }
-    return row, corpus_sha(corpus)
+    return row, sha
 
 
 def run_sweep(*, num_nodes, num_shards, residents, num_walks, length, seed=0):
@@ -90,11 +130,12 @@ def run_sweep(*, num_nodes, num_shards, residents, num_walks, length, seed=0):
 
     # In-memory reference: same scheduler, virtual single shard — the
     # hash anchor and the no-I/O throughput ceiling.
-    engine = BucketedWalkScheduler(graph, model)
-    started = time.perf_counter()
-    reference_corpus = engine.walks(num_walks=num_walks, length=length, rng=seed)
-    ref_seconds = time.perf_counter() - started
-    reference_sha = corpus_sha(reference_corpus)
+    reference, _, reference_sha, _ = timed_runs(
+        lambda: BucketedWalkScheduler(graph, model),
+        num_walks=num_walks,
+        length=length,
+        seed=seed,
+    )
 
     with tempfile.TemporaryDirectory(prefix="bench_sharded_") as tmp:
         layout = write_sharded_layout(
@@ -125,14 +166,8 @@ def run_sweep(*, num_nodes, num_shards, residents, num_walks, length, seed=0):
         "layout_bytes": total_bytes,
         "num_walks": int(num_walks),
         "length": int(length),
-        "reference": {
-            "walks_per_sec": (
-                round(len(reference_corpus) / ref_seconds, 2)
-                if ref_seconds > 0
-                else None
-            ),
-            "sha256": reference_sha,
-        },
+        "repeats": REPEATS,
+        "reference": {**reference, "sha256": reference_sha},
         "configs": rows,
     }
 
@@ -161,6 +196,14 @@ def check_result(result) -> list[str]:
                 f"{lockstep['shard_loads']}"
             )
     return failures
+
+
+def _rate(row) -> str:
+    """``median (min-max)`` walks/s of one row."""
+    return (
+        f"{row['walks_per_sec']:.0f} "
+        f"({row['walks_per_sec_min']:.0f}-{row['walks_per_sec_max']:.0f})"
+    )
 
 
 def main(argv=None) -> int:
@@ -209,16 +252,16 @@ def main(argv=None) -> int:
         f"({result['layout_bytes']:,} bytes on disk)"
     )
     print(
-        f"{'policy':<10} {'resident':>8} {'walks/s':>10} {'loads':>7} "
+        f"{'policy':<10} {'resident':>8} {'walks/s (min-max)':>24} {'loads':>7} "
         f"{'loads/kstep':>12} {'bytes read':>12}"
     )
     for row in result["configs"]:
         print(
             f"{row['policy']:<10} {row['max_resident']:>8} "
-            f"{row['walks_per_sec']:>10} {row['shard_loads']:>7} "
+            f"{_rate(row):>24} {row['shard_loads']:>7} "
             f"{row['loads_per_kstep']:>12} {row['shard_bytes_read']:>12,}"
         )
-    print(f"in-memory reference: {result['reference']['walks_per_sec']} walks/s")
+    print(f"in-memory reference: {_rate(result['reference'])} walks/s")
 
     output = args.output or (None if args.quick else "BENCH_sharded.json")
     if output:

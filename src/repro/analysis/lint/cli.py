@@ -107,17 +107,6 @@ def build_lint_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--mcc",
-        action="store_true",
-        help=(
-            "also run the memory-cost contract checker (MCC201-MCC205): "
-            "symbolic byte expressions extracted from allocation sites "
-            "diffed against the analytical cost model, charge-ordering "
-            "and accounting-coverage path analysis, and cache/shard "
-            "byte-arithmetic conformance"
-        ),
-    )
-    parser.add_argument(
         "--contracts-json",
         default=None,
         metavar="PATH",
@@ -125,17 +114,6 @@ def build_lint_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
             "additionally write the machine-readable kernel contract "
             "(kernel-contracts.json) derived from the linted tree to "
             "PATH — the signature a new kernel backend must satisfy"
-        ),
-    )
-    parser.add_argument(
-        "--memory-contracts-json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "additionally write the machine-readable memory contracts "
-            "(memory-contracts.json) derived from the linted tree to "
-            "PATH — the per-structure byte formulas the runtime "
-            "sanitizer (REPRO_MSAN=1) verifies allocations against"
         ),
     )
     parser.add_argument(
@@ -202,33 +180,15 @@ def _write_contracts(paths, output) -> None:
     print(f"kernel contracts written: {output} ({len(payload['kernels'])} kernel(s))")
 
 
-def _write_memory_contracts(paths, output) -> None:
-    """Derive the memory contracts from ``paths`` and write them to disk."""
-    from pathlib import Path
-
-    from ..mcc import collect_memory_contracts, render_memory_contracts_json
-
-    payload = collect_memory_contracts(paths)
-    Path(output).write_text(
-        render_memory_contracts_json(payload), encoding="utf-8"
-    )
-    print(
-        f"memory contracts written: {output} "
-        f"({len(payload['structures'])} structure(s))"
-    )
-
-
 def _rule_catalogue() -> list:
-    """Every registered rule across the per-file, FLOW, KCC, MCC passes."""
+    """Every registered rule across the per-file, FLOW and KCC passes."""
     from ..flow.rules import FLOW_RULE_REGISTRY
     from ..kcc.rules import KCC_RULE_REGISTRY
-    from ..mcc.rules import MCC_RULE_REGISTRY
 
     return (
         list(RULE_REGISTRY.values())
         + list(FLOW_RULE_REGISTRY.values())
         + list(KCC_RULE_REGISTRY.values())
-        + list(MCC_RULE_REGISTRY.values())
     )
 
 
@@ -331,13 +291,10 @@ def lint_main(argv: "list[str] | None" = None) -> int:
             baseline=baseline,
             flow=args.flow,
             kcc=args.kcc,
-            mcc=args.mcc,
             restrict_to=restrict,
         )
         if args.contracts_json:
             _write_contracts(paths, args.contracts_json)
-        if args.memory_contracts_json:
-            _write_memory_contracts(paths, args.memory_contracts_json)
     except LintConfigError as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2

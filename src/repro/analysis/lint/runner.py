@@ -81,26 +81,21 @@ def _partition_rule_ids(
     rules: "Iterable[str] | None",
     flow: bool,
     kcc: bool = False,
-    mcc: bool = False,
 ) -> tuple[
     "list[str] | None",
     "list[str] | None",
     bool,
     "list[str] | None",
     bool,
-    "list[str] | None",
-    bool,
 ]:
-    """Split requested rule ids into (per-file, flow, kcc, mcc) selections.
+    """Split requested rule ids into (per-file, flow, kcc) selections.
 
     ``None`` means "all rules of that kind".  Explicitly requesting a
-    ``FLOW-*`` id enables the flow pass even without ``flow=True``, a
-    ``KCC*`` id the kernel-contract pass without ``kcc=True``, and a
-    ``MCC*`` id the memory-contract pass without ``mcc=True``.
+    ``FLOW-*`` id enables the flow pass even without ``flow=True``, and
+    a ``KCC*`` id the kernel-contract pass without ``kcc=True``.
     """
     from ..flow.rules import FLOW_RULE_REGISTRY
     from ..kcc.rules import KCC_RULE_REGISTRY
-    from ..mcc.rules import MCC_RULE_REGISTRY
 
     if rules is None:
         return (
@@ -109,33 +104,25 @@ def _partition_rule_ids(
             flow,
             (None if kcc else []),
             kcc,
-            (None if mcc else []),
-            mcc,
         )
     file_ids: list[str] = []
     flow_ids: list[str] = []
     kcc_ids: list[str] = []
-    mcc_ids: list[str] = []
     for rid in rules:
         if rid in FLOW_RULE_REGISTRY:
             flow_ids.append(rid)
         elif rid in KCC_RULE_REGISTRY:
             kcc_ids.append(rid)
-        elif rid in MCC_RULE_REGISTRY:
-            mcc_ids.append(rid)
         else:
             file_ids.append(rid)  # unknown ids rejected by iter_rules
     run_flow = flow or bool(flow_ids)
     run_kcc = kcc or bool(kcc_ids)
-    run_mcc = mcc or bool(mcc_ids)
     return (
         file_ids,
         None if (flow and not flow_ids) else flow_ids,
         run_flow,
         None if (kcc and not kcc_ids) else kcc_ids,
         run_kcc,
-        None if (mcc and not mcc_ids) else mcc_ids,
-        run_mcc,
     )
 
 
@@ -147,25 +134,17 @@ def run_lint(
     root: "Path | None" = None,
     flow: bool = False,
     kcc: bool = False,
-    mcc: bool = False,
     restrict_to: "Iterable[str] | None" = None,
 ) -> tuple[LintResult, "list[tuple[Finding, str]]"]:
     """Lint ``paths`` and split findings against ``baseline``.
 
     ``flow=True`` additionally builds the whole-program call graph over
     *all* discovered files and runs the interprocedural FLOW passes;
-    ``kcc=True`` runs the kernel-contract checker (KCC101–KCC105) and
-    ``mcc=True`` the memory-cost contract checker (MCC201–MCC205) the
+    ``kcc=True`` runs the kernel-contract checker (KCC101–KCC105) the
     same way.  ``restrict_to`` (display paths, e.g. from ``--changed``)
     limits which files are rule-checked and reported — the whole-program
     passes still see everything so cross-file reasoning stays sound,
     but only findings in restricted files are reported.
-
-    When the MCC pass runs, the path-sensitive MCC202/MCC203 findings
-    subsume the coarser per-file MEM001 and interprocedural FLOW-MEM
-    diagnostics at the same source positions: the overlapping findings
-    are dropped so each unaccounted allocation is reported exactly once,
-    by the most precise rule.
 
     Returns the :class:`LintResult` plus the full fingerprinted finding
     list (the raw material for ``--update-baseline``).
@@ -177,9 +156,7 @@ def run_lint(
         run_flow,
         kcc_ids,
         run_kcc,
-        mcc_ids,
-        run_mcc,
-    ) = _partition_rule_ids(rule_list, flow, kcc, mcc)
+    ) = _partition_rule_ids(rule_list, flow, kcc)
     selected: list[Rule] = iter_rules(file_ids)
     if not isinstance(baseline, Baseline):
         baseline = Baseline.load(baseline)
@@ -223,34 +200,6 @@ def run_lint(
         findings.extend(kcc_findings)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    if run_mcc:
-        from ..mcc import build_mcc_program, check_mcc_program
-        from ..mcc.rules import iter_mcc_rules
-
-        mcc_program = build_mcc_program(sources)
-        mcc_findings = check_mcc_program(mcc_program, iter_mcc_rules(mcc_ids))
-        if restricted is not None:
-            mcc_findings = [f for f in mcc_findings if f.path in restricted]
-        findings.extend(mcc_findings)
-        # MCC202/MCC203 are per-site, path-sensitive upgrades of MEM001
-        # (per-file) and FLOW-MEM (interprocedural): where they fire on
-        # the same position, keep only the MCC finding.
-        subsumed_at = {
-            (f.path, f.line)
-            for f in mcc_findings
-            if f.rule in ("MCC202", "MCC203")
-        }
-        if subsumed_at:
-            findings = [
-                f
-                for f in findings
-                if not (
-                    f.rule in ("MEM001", "FLOW-MEM")
-                    and (f.path, f.line) in subsumed_at
-                )
-            ]
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
     fingerprinted = fingerprint_findings(findings, sources)
     # A not-yet-migrated version-1 baseline still matches through the
     # legacy hashing scheme; ``--update-baseline`` rewrites it to v2.
@@ -272,14 +221,13 @@ def run_lint(
             result.new_findings.append(finding)
     from ..flow.rules import FLOW_RULE_REGISTRY
     from ..kcc.rules import KCC_RULE_REGISTRY
-    from ..mcc.rules import MCC_RULE_REGISTRY
 
     checked = set(files)
 
     def judgeable(entry: "object") -> bool:
         # Only entries for files/rules we actually ran can be judged
         # stale; a partial lint (single file, --changed, no
-        # --flow/--kcc/--mcc) must not report the rest of the baseline
+        # --flow/--kcc) must not report the rest of the baseline
         # as obsolete.
         rule = getattr(entry, "rule", "")
         path = getattr(entry, "path", "")
@@ -287,8 +235,6 @@ def run_lint(
             return run_flow and restricted is None and path in sources
         if rule in KCC_RULE_REGISTRY:
             return run_kcc and restricted is None and path in sources
-        if rule in MCC_RULE_REGISTRY:
-            return run_mcc and restricted is None and path in sources
         return path in checked
 
     result.stale_baseline = sorted(

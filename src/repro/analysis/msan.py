@@ -1,19 +1,19 @@
 """Runtime memory-conformance sanitizer ("MSan") for costed structures.
 
-The static MCC passes (:mod:`repro.analysis.mcc`) prove that the
-builders' allocation sites sum, symbolically, to the analytical cost
-model; this module provides the *dynamic* evidence.  When enabled
-(``REPRO_MSAN=1`` in the environment, or inside an explicit
-:func:`msan_trace` scope), every registered structure build — alias
-tables, rejection/alias per-node sampler state, admitted edge-state
-cache entries, shards pinned by the residency manager — reports its
-**real** allocated bytes (straight from ``ndarray.nbytes``) together
-with the observed dims (degree ``d``, shard nodes ``n_s``, shard edges
-``E_s``).  :func:`verify_records` then evaluates the corresponding
-``memory-contracts.json`` terms with those dims and demands an **exact**
-byte match — any divergence means the committed contract (and therefore
-the optimizer's budget arithmetic) has drifted from allocation reality,
-and :func:`check_records` raises
+The optimizer assigns samplers under a memory budget priced by the
+paper's Table 1 byte formulas (:mod:`repro.cost.model`); this module
+checks those formulas against what the builders really allocate.  When
+enabled (``REPRO_MSAN=1`` in the environment, or inside an explicit
+:func:`msan_trace` scope), every traced structure build — alias tables,
+rejection/alias per-node sampler state, shards pinned by the residency
+manager — reports its **real** allocated bytes (straight from
+``ndarray.nbytes``) together with the observed dims (degree ``d``, shard
+nodes ``n_s``, shard edges ``E_s``).  :func:`verify_records` evaluates
+the structure's :mod:`repro.cost.model` formula at those dims and at the
+byte widths numpy actually allocates (:data:`NUMPY_WIDTHS`, float64 and
+int64) and demands an **exact** byte match — any divergence means the
+optimizer's budget arithmetic has drifted from allocation reality, and
+:func:`check_records` raises
 :class:`~repro.exceptions.MemoryConformanceError` (loud, specific,
 fatal — the DSan posture, applied to bytes instead of RNG draws).  The
 environment-activated tracer checks *eagerly*, at the build site, so
@@ -21,15 +21,17 @@ environment-activated tracer checks *eagerly*, at the build site, so
 
 Structures may record a *variant* — e.g. the rejection sampler's
 ``bounded`` path, which derives its acceptance factor from a closed-form
-model bound and never materialises the per-edge factor array; variants
-are matched against the contract's variant terms instead of the
-worst-case base terms.
+model bound and never materialises the per-edge factor array, so its
+state is one alias table.
 
-Import discipline: this module imports only the stdlib, numpy and
-:mod:`repro.exceptions` at module scope; the contract extraction
-(:mod:`repro.analysis.mcc`) is imported lazily inside the verification
-helpers.  Instrumented runtime modules import *this* module lazily at
-first trace, so no import cycle forms through the analysis package.
+What MSan cannot see: it trusts each builder's reported ``nbytes``, so a
+persistent array a builder keeps but does not report goes unseen; the
+``tracemalloc`` retained-bytes tests in ``tests/test_msan.py`` cover
+that class.
+
+Import discipline: instrumented runtime modules import *this* module
+lazily at first trace, so no import cycle forms through the analysis
+package.
 """
 
 from __future__ import annotations
@@ -37,8 +39,15 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from ..cost.model import (
+    alias_memory,
+    alias_table_memory,
+    rejection_memory,
+    resident_shard_memory,
+)
+from ..cost.params import CostParams
 from ..exceptions import MemoryConformanceError
 
 #: Environment switch; any value other than empty/"0"/"false"/"no" enables.
@@ -101,7 +110,7 @@ class MsanTracer:
     """Collects :class:`MemRecord` events, bounded by :data:`MAX_RECORDS`.
 
     With ``check=True`` — how the environment-activated tracer is built —
-    every event is verified against the contracts *as it is recorded*,
+    every event is verified against the cost model *as it is recorded*,
     raising :class:`~repro.exceptions.MemoryConformanceError` at the
     divergent build site itself (the DSan posture: loud, specific,
     fatal).  Scoped tracers default to collect-only so tests can assert
@@ -112,7 +121,6 @@ class MsanTracer:
         self.records: list[MemRecord] = []
         self.dropped = 0
         self.check = check
-        self._payload: "dict | None" = None
 
     def record(
         self,
@@ -132,9 +140,7 @@ class MsanTracer:
         if self.check:
             # Eager conformance: the traceback then points at the build
             # whose bytes drifted, not at some later report step.
-            if self._payload is None:
-                self._payload = default_contracts()
-            check_records([event], self._payload)
+            check_records([event])
         if len(self.records) >= MAX_RECORDS:
             self.dropped += 1
             return
@@ -194,54 +200,47 @@ def msan_trace() -> Iterator[MsanTracer]:
 
 
 # ----------------------------------------------------------------------
-# conformance against the memory contracts
+# conformance against the cost model
 # ----------------------------------------------------------------------
-def _contract_index(payload: Mapping[str, Any]) -> dict[str, dict]:
-    return {entry["name"]: entry for entry in payload["structures"]}
+#: The byte widths the builders allocate at (float64, int64).  The
+#: optimizer prices the same formulas at the paper's widths
+#: (:class:`~repro.cost.params.CostParams` defaults).
+NUMPY_WIDTHS = CostParams(float_bytes=8, int_bytes=8)
+
+#: ``(structure, variant)`` → its :mod:`repro.cost.model` byte formula
+#: and the record dims it takes, in order.
+_FORMULAS: dict[
+    tuple[str, str | None], tuple[Callable[..., float], tuple[str, ...]]
+] = {
+    ("alias_table", None): (alias_table_memory, ("d",)),
+    ("rejection_state", None): (rejection_memory, ("d",)),
+    ("rejection_state", "bounded"): (alias_table_memory, ("d",)),
+    ("alias_state", None): (alias_memory, ("d",)),
+    ("resident_shard", None): (resident_shard_memory, ("n_s", "E_s")),
+}
 
 
-def default_contracts() -> dict:
-    """The contract payload re-derived from the installed source tree."""
-    from .mcc import collect_memory_contracts
-
-    return collect_memory_contracts()
-
-
-def expected_bytes(
-    record: MemRecord, payload: Mapping[str, Any]
-) -> "float | None":
-    """Contract-predicted bytes for ``record``, or ``None`` when the
-    structure (or requested variant) has no contract terms."""
-    from .mcc import eval_terms
-
-    entry = _contract_index(payload).get(record.structure)
+def expected_bytes(record: MemRecord) -> "float | None":
+    """Cost-model bytes for ``record``, or ``None`` when the structure
+    (or requested variant) has no formula."""
+    entry = _FORMULAS.get((record.structure, record.variant))
     if entry is None:
         return None
-    if record.variant is not None:
-        variant = entry.get("variants", {}).get(record.variant)
-        if variant is None:
-            return None
-        terms = variant["terms"]
-    else:
-        terms = entry["terms"]
-    return eval_terms(terms, dict(record.dims))
+    formula, names = entry
+    dims = dict(record.dims)
+    return formula(NUMPY_WIDTHS, *(dims[name] for name in names))
 
 
-def verify_records(
-    records: Iterable[MemRecord],
-    payload: "Mapping[str, Any] | None" = None,
-) -> list[str]:
-    """Divergence descriptions for every record that misses its contract.
+def verify_records(records: Iterable[MemRecord]) -> list[str]:
+    """Divergence descriptions for every record that misses its formula.
 
-    Exactness is the point: the contracts are closed-form in the
-    observed dims, so the real bytes must match to the byte — tolerance
-    would hide exactly the itemsize/constant drift MCC exists to catch.
+    Exactness is the point: the formulas are closed-form in the observed
+    dims, so the real bytes must match to the byte — tolerance would
+    hide exactly the itemsize/constant drift this check exists to catch.
     """
-    if payload is None:
-        payload = default_contracts()
     divergences: list[str] = []
     for record in records:
-        expected = expected_bytes(record, payload)
+        expected = expected_bytes(record)
         if expected is None:
             what = (
                 f"variant {record.variant!r}"
@@ -249,30 +248,26 @@ def verify_records(
                 else "structure"
             )
             divergences.append(
-                f"{record.structure}: no contract terms for {what}"
+                f"{record.structure}: no cost-model formula for {what}"
             )
             continue
-        if abs(expected - record.nbytes) > 1e-6:
+        if expected != record.nbytes:
             dims = ", ".join(f"{k}={v:g}" for k, v in record.dims)
             suffix = f", variant={record.variant}" if record.variant else ""
             divergences.append(
                 f"{record.structure}({dims}{suffix}): allocated "
-                f"{record.nbytes} bytes, contract says {expected:.0f}"
+                f"{record.nbytes} bytes, cost model says {expected:.0f}"
             )
     return divergences
 
 
-def check_records(
-    records: Iterable[MemRecord],
-    payload: "Mapping[str, Any] | None" = None,
-) -> None:
-    """Raise :class:`MemoryConformanceError` on any contract divergence."""
-    divergences = verify_records(records, payload)
+def check_records(records: Iterable[MemRecord]) -> None:
+    """Raise :class:`MemoryConformanceError` on any cost-model divergence."""
+    divergences = verify_records(records)
     if divergences:
         raise MemoryConformanceError(
             divergences,
-            detail="runtime allocation bytes drifted from "
-            "memory-contracts.json",
+            detail="runtime allocation bytes drifted from repro.cost.model",
         )
 
 
@@ -304,13 +299,8 @@ class MsanReport:
         }
 
 
-def build_report(
-    tracer: MsanTracer,
-    payload: "Mapping[str, Any] | None" = None,
-) -> MsanReport:
+def build_report(tracer: MsanTracer) -> MsanReport:
     """Verify a tracer's records and fold them into a report payload."""
-    if payload is None:
-        payload = default_contracts()
     by_structure: dict[str, dict] = {}
     for record in tracer.records:
         bucket = by_structure.setdefault(
@@ -322,7 +312,7 @@ def build_report(
         records=len(tracer.records),
         dropped=tracer.dropped,
         by_structure=dict(sorted(by_structure.items())),
-        divergences=verify_records(tracer.records, payload),
+        divergences=verify_records(tracer.records),
     )
 
 
@@ -337,7 +327,7 @@ __all__ = [
     "trace_alloc",
     "tracing_active",
     "msan_trace",
-    "default_contracts",
+    "NUMPY_WIDTHS",
     "expected_bytes",
     "verify_records",
     "check_records",

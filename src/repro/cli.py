@@ -315,7 +315,7 @@ def build_tool_parser() -> argparse.ArgumentParser:
             "run a representative workload (sampler builds, batch walks, "
             "a sharded-layout residency sweep) under the memory "
             "sanitizer and verify every structure's real allocation "
-            "bytes against memory-contracts.json"
+            "bytes against the cost-model byte formulas"
         ),
     )
     msan.add_argument("--num-walks", type=int, default=4)
@@ -325,16 +325,6 @@ def build_tool_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="shard count for the temporary residency sweep (default 4)",
-    )
-    msan.add_argument(
-        "--contracts",
-        default=None,
-        metavar="PATH",
-        help=(
-            "memory-contracts.json to verify against (default: the "
-            "committed file at the repo root, else re-derived from the "
-            "installed source tree)"
-        ),
     )
     msan.add_argument(
         "--output",
@@ -923,40 +913,22 @@ def _run_dsan_report(args, framework) -> int:
 
 
 def _run_msan_report(args) -> int:
-    """Runtime byte-conformance check against ``memory-contracts.json``.
+    """Runtime byte-conformance check against the cost-model formulas.
 
-    Runs a workload covering every contract structure — the framework
+    Runs a workload covering every traced structure — the framework
     build materialises alias/rejection/naive sampler state, batch walks
     run over it, and a temporary sharded layout is swept through the
     residency manager — inside an
     :func:`~repro.analysis.msan.msan_trace` scope, then verifies each
-    recorded allocation's real bytes against the contracts.
+    recorded allocation's real bytes against :mod:`repro.cost.model`.
 
-    Exit codes: 0 conformant, 4 divergence (or an empty trace), 2 bad
-    arguments.
+    Exit codes: 0 conformant, 4 divergence (or an empty trace).
     """
     import json as _json
     import tempfile
     from pathlib import Path
 
-    from .analysis.lint.runner import default_baseline_path
     from .analysis.msan import build_report, msan_trace
-
-    payload = None
-    contracts = (
-        Path(args.contracts)
-        if args.contracts
-        else default_baseline_path().parent / "memory-contracts.json"
-    )
-    if contracts.exists():
-        payload = _json.loads(contracts.read_text(encoding="utf-8"))
-        print(f"verifying against {contracts}")
-    elif args.contracts:
-        print(f"no such contracts file: {contracts}", file=sys.stderr)
-        return 2
-    else:
-        print("no committed memory-contracts.json; verifying against "
-              "contracts re-derived from the source tree")
 
     with msan_trace() as tracer:
         framework = _build_framework(args)
@@ -984,7 +956,7 @@ def _run_msan_report(args) -> int:
                 "residency manager"
             )
 
-    report = build_report(tracer, payload)
+    report = build_report(tracer)
     for structure, bucket in report.by_structure.items():
         print(
             f"  {structure}: {bucket['builds']} build(s), "
@@ -1005,7 +977,7 @@ def _run_msan_report(args) -> int:
     print(
         f"msan: {report.records} allocation(s) across "
         f"{len(report.by_structure)} structure(s) conform to the "
-        "memory contracts"
+        "cost model"
     )
     return 0
 

@@ -19,11 +19,13 @@ from .params import CostParams
 from .model import (
     SamplerKind,
     alias_memory,
+    alias_table_memory,
     alias_time,
     naive_memory,
     naive_time,
     rejection_memory,
     rejection_time,
+    resident_shard_memory,
     sampler_memory,
     sampler_time,
 )
@@ -38,6 +40,8 @@ __all__ = [
     "rejection_time",
     "alias_memory",
     "alias_time",
+    "alias_table_memory",
+    "resident_shard_memory",
     "sampler_memory",
     "sampler_time",
     "CostTable",

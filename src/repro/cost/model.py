@@ -62,6 +62,26 @@ def alias_memory(params: CostParams, degree: int) -> float:
     return (params.float_bytes + params.int_bytes) * (degree * degree + degree)
 
 
+def alias_table_memory(params: CostParams, degree: int) -> float:
+    """``(b_f + b_i) · d``: one alias table over ``d`` outcomes — the unit
+    both table samplers are built from, and the whole per-node state of a
+    rejection sampler whose model has a closed-form bound (no factors)."""
+    return (params.float_bytes + params.int_bytes) * degree
+
+
+def resident_shard_memory(
+    params: CostParams, num_nodes: int, num_edges: int
+) -> float:
+    """``b_i (n_s + 1) + (b_i + b_f) E_s``: one resident CSR shard of
+    ``n_s`` nodes and ``E_s`` edges — its indptr plus one target id and
+    one weight per edge.  Shard files store int64/float64, so the real
+    bytes are this formula at 8-byte widths: ``8 n_s + 16 E_s + 8``."""
+    return (
+        params.int_bytes * (num_nodes + 1)
+        + (params.int_bytes + params.float_bytes) * num_edges
+    )
+
+
 # ----------------------------------------------------------------------
 # time costs (multiples of K, per sample)
 # ----------------------------------------------------------------------

@@ -338,17 +338,17 @@ class DeterminismError(ReproError):
 
 
 class MemoryConformanceError(ReproError):
-    """The runtime memory sanitizer observed contract divergence.
+    """The runtime memory sanitizer observed a cost-model divergence.
 
     Raised by :mod:`repro.analysis.msan` when a structure's real
     allocated bytes (``ndarray.nbytes``, observed at build time) differ
-    from what the committed ``memory-contracts.json`` terms predict for
-    the observed dims.  Exact by design: the contracts are closed-form
-    in degree/shard dims, so any mismatch means the analytical cost
-    model — the currency of every budget decision the optimizer makes —
-    has drifted from allocation reality.  The message lists the
-    diverging structures; each entry carries the observed dims, the real
-    bytes, and the contract's prediction.
+    from what its :mod:`repro.cost.model` byte formula predicts for the
+    observed dims at numpy's 8-byte widths.  Exact by design: the
+    formulas are closed-form in degree/shard dims, so any mismatch means
+    the analytical cost model — the currency of every budget decision
+    the optimizer makes — has drifted from allocation reality.  The
+    message lists the diverging structures; each entry carries the
+    observed dims, the real bytes, and the formula's prediction.
     """
 
     def __init__(self, divergences: list, detail: str = "") -> None:

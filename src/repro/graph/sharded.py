@@ -342,7 +342,7 @@ class ShardedCSRGraph:
         # The structural indptr is the one O(N) array deliberately kept
         # RAM-resident (paper Section 5: only edge payloads go out of
         # core) — it is layout metadata, not budget-governed shard state.
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)  # reprolint: disable=MCC202
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         specs: list[ShardSpec] = []
         edge_offset = 0
         for index, entry in enumerate(shard_entries):
@@ -573,8 +573,8 @@ class ShardedCSRGraph:
         # Materialising is the explicit opt-out from out-of-core mode:
         # the caller asks for the whole O(E) graph in RAM, so these two
         # buffers are intentionally outside the residency budget.
-        indices = np.empty(self.num_edges, dtype=np.int64)  # reprolint: disable=MCC202
-        weights = np.empty(self.num_edges, dtype=np.float64)  # reprolint: disable=MCC202
+        indices = np.empty(self.num_edges, dtype=np.int64)
+        weights = np.empty(self.num_edges, dtype=np.float64)
         for index in range(self.num_shards):
             shard = self.read_shard(index)
             lo = shard.edge_offset

@@ -55,8 +55,7 @@ draw-order digests prove it at the bit level.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,7 +143,6 @@ class BatchWalkEngine:
                     kind_of[v] = _FALLBACK
         self._kind_of = kind_of
         self._global_bound = model.max_ratio_bound(graph)
-        self._ratio_takes_hops = _takes_keyword(model.target_ratio_bulk, "hops")
         self._rejection_arena, self._rejection_base = self._arena_of(_REJECTION)
         self._alias_arena, self._alias_base = self._arena_of(_ALIAS)
         if (
@@ -475,14 +473,9 @@ class BatchWalkEngine:
             )
             hops = starts_all[rows] + picks
             z = self.graph.indices[hops]
-            if self._ratio_takes_hops:
-                ratios = self.model.target_ratio_bulk(
-                    self.graph, u_arr[rows], v_arr[rows], z, hops=hops
-                )
-            else:
-                ratios = self.model.target_ratio_bulk(
-                    self.graph, u_arr[rows], v_arr[rows], z
-                )
+            ratios = self.model.target_ratio_bulk(
+                self.graph, u_arr[rows], v_arr[rows], z, hops=hops
+            )
             with kernel_scope("acceptance_mask"):
                 u_accept = gen.random(n)
             accepted = kb.acceptance_mask(ratios, factors[rows], u_accept)
@@ -834,15 +827,6 @@ def batch_second_order_pagerank(
     if total > 0:
         scores /= total
     return scores
-
-
-def _takes_keyword(fn: Callable[..., Any], name: str) -> bool:
-    """Whether ``fn`` accepts the keyword ``name``: models written before
-    ``target_ratio_bulk`` took ``hops`` keep working without it."""
-    return any(
-        p.name == name or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in inspect.signature(fn).parameters.values()
-    )
 
 
 def _trim_trail(row: np.ndarray) -> np.ndarray:

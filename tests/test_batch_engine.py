@@ -339,7 +339,7 @@ class TestRejectionRounds:
         ``max_rejection_rounds`` rounds with a ``SamplerError``."""
 
         class NeverAccepts(Node2VecModel):
-            def target_ratio_bulk(self, graph, us, vs, zs):
+            def target_ratio_bulk(self, graph, us, vs, zs, *, hops=None):
                 return np.zeros(len(zs))
 
         rounds = []

@@ -1,20 +1,24 @@
 """Tests for the runtime memory-conformance sanitizer (``repro.analysis.msan``).
 
-The dynamic half of the memory-cost contract checker: every
-instrumented structure build (alias tables, rejection/alias per-node
-sampler state, resident shards) must
-report real ``nbytes`` that evaluate *exactly* to the committed
-``memory-contracts.json`` terms at the observed dims.
+Every instrumented structure build (alias tables, rejection/alias
+per-node sampler state, resident shards) must report real ``nbytes``
+equal *exactly* to its :mod:`repro.cost.model` byte formula at the
+observed dims and numpy's 8-byte widths.  MSan trusts each builder's
+reported ``nbytes``; the ``tracemalloc`` tests below check the bytes a
+build actually retains, which catches an array a builder keeps but does
+not report.
 """
 
+import gc
 import json
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import MemoryAwareFramework, Node2VecModel
 from repro.analysis.msan import (
+    NUMPY_WIDTHS,
     MemRecord,
     build_report,
     check_records,
@@ -23,22 +27,30 @@ from repro.analysis.msan import (
     msan_trace,
     verify_records,
 )
+from repro.cost.model import (
+    SamplerKind,
+    alias_memory,
+    alias_table_memory,
+    rejection_memory,
+    resident_shard_memory,
+)
+from repro.cost.params import CostParams
 from repro.exceptions import MemoryConformanceError
 from repro.framework.memory import MemoryMeter
 from repro.framework.node_samplers import (
     AliasNodeSampler,
     NaiveNodeSampler,
     RejectionNodeSampler,
+    build_arena,
 )
-from repro.graph import barabasi_albert_graph, load_edge_list
-from repro.graph.sharded import ShardResidencyManager, write_sharded_layout
+from repro.graph import barabasi_albert_graph
+from repro.graph.sharded import (
+    ShardResidencyManager,
+    VirtualShardLayout,
+    write_sharded_layout,
+)
+from repro.remote import NeighborhoodCache
 from repro.sampling.alias import AliasTable
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-CONTRACTS = json.loads(
-    (REPO_ROOT / "memory-contracts.json").read_text(encoding="utf-8")
-)
 
 
 @pytest.fixture()
@@ -98,7 +110,7 @@ class TestSwitch:
 
 
 # ----------------------------------------------------------------------
-# per-structure conformance against the committed contracts
+# per-structure conformance against the cost model
 # ----------------------------------------------------------------------
 class TestStructureConformance:
     def test_alias_table_bytes_match_contract(self):
@@ -107,7 +119,7 @@ class TestStructureConformance:
         (record,) = tracer.records
         assert record.structure == "alias_table"
         assert record.nbytes == 13 * 8 + 13 * 8
-        assert verify_records(tracer.records, CONTRACTS) == []
+        assert verify_records(tracer.records) == []
 
     def test_rejection_exact_factors_match_contract(self, graph):
         model = Node2VecModel(0.5, 2.0)
@@ -122,8 +134,8 @@ class TestStructureConformance:
         ]
         (record,) = records
         assert record.variant is None
-        assert record.nbytes == expected_bytes(record, CONTRACTS)
-        assert verify_records(tracer.records, CONTRACTS) == []
+        assert record.nbytes == expected_bytes(record)
+        assert verify_records(tracer.records) == []
 
     def test_rejection_bounded_variant_matches_contract(self, graph):
         # node2vec has a closed-form max_ratio_bound: the factors array
@@ -138,7 +150,7 @@ class TestStructureConformance:
         assert record.variant == "bounded"
         degree = graph.degree(1)
         assert record.nbytes == 16 * degree  # proposal tables only
-        assert verify_records(tracer.records, CONTRACTS) == []
+        assert verify_records(tracer.records) == []
 
     def test_alias_state_matches_contract(self, graph):
         model = Node2VecModel(0.5, 2.0)
@@ -150,7 +162,7 @@ class TestStructureConformance:
         (record,) = records
         degree = graph.degree(2)
         assert dict(record.dims) == {"d": float(degree)}
-        assert verify_records(tracer.records, CONTRACTS) == []
+        assert verify_records(tracer.records) == []
 
     def test_naive_sampler_traces_nothing(self, graph):
         model = Node2VecModel(0.5, 2.0)
@@ -169,7 +181,7 @@ class TestStructureConformance:
         ]
         assert len(records) == 3
         assert sum(dict(r.dims)["E_s"] for r in records) == graph.num_edges
-        assert verify_records(records, CONTRACTS) == []
+        assert verify_records(records) == []
 
     def test_batch_walk_workload_is_fully_conformant(self, graph):
         # A budget tight enough to mix rejection and alias samplers.
@@ -179,7 +191,7 @@ class TestStructureConformance:
             )
             framework.batch_engine().walks(num_walks=4, length=12, rng=3)
         assert tracer.records
-        report = build_report(tracer, CONTRACTS)
+        report = build_report(tracer)
         assert report.ok, report.divergences
         assert {"rejection_state", "alias_state"} <= set(report.by_structure)
 
@@ -191,10 +203,10 @@ class TestDivergenceDetection:
     def test_byte_drift_is_reported_exactly(self):
         record = MemRecord(
             structure="alias_table",
-            nbytes=10 * 16 + 1,  # one byte over the contract
+            nbytes=10 * 16 + 1,  # one byte over the cost model
             dims=(("d", 10.0),),
         )
-        divergences = verify_records([record], CONTRACTS)
+        divergences = verify_records([record])
         assert len(divergences) == 1
         assert "alias_table" in divergences[0]
         assert "161" in divergences[0]
@@ -204,8 +216,8 @@ class TestDivergenceDetection:
         record = MemRecord(
             structure="mystery_buffer", nbytes=8, dims=(("d", 1.0),)
         )
-        assert verify_records([record], CONTRACTS) == [
-            "mystery_buffer: no contract terms for structure"
+        assert verify_records([record]) == [
+            "mystery_buffer: no cost-model formula for structure"
         ]
 
     def test_unknown_variant_is_a_divergence(self):
@@ -215,7 +227,7 @@ class TestDivergenceDetection:
             dims=(("d", 10.0),),
             variant="compressed",
         )
-        (divergence,) = verify_records([record], CONTRACTS)
+        (divergence,) = verify_records([record])
         assert "variant 'compressed'" in divergence
 
     def test_check_records_raises_loudly(self):
@@ -223,14 +235,14 @@ class TestDivergenceDetection:
             structure="alias_table", nbytes=1, dims=(("d", 10.0),)
         )
         with pytest.raises(MemoryConformanceError) as excinfo:
-            check_records([record], CONTRACTS)
+            check_records([record])
         assert "memory sanitizer" in str(excinfo.value)
-        check_records([], CONTRACTS)  # no records, nothing to flag
+        check_records([])  # no records, nothing to flag
 
     def test_report_round_trip(self):
         with msan_trace() as tracer:
             AliasTable(np.ones(6))
-        report = build_report(tracer, CONTRACTS)
+        report = build_report(tracer)
         payload = report.to_dict()
         assert payload["ok"] is True
         assert payload["records"] == 1
@@ -239,12 +251,156 @@ class TestDivergenceDetection:
             tracer.records[0].to_dict()
         ) == tracer.records[0]
 
-    def test_derived_contracts_fallback(self):
-        # verify_records(None payload) re-derives from source: the live
-        # tree must agree with itself.
-        with msan_trace() as tracer:
-            AliasTable(np.ones(9))
-        assert verify_records(tracer.records) == []
+    def test_float32_table_is_a_divergence(self):
+        # A table built at 4-byte floats under the 8-byte-width formula.
+        prob = np.ones(10, dtype=np.float32)
+        alias = np.zeros(10, dtype=np.int64)
+        record = MemRecord(
+            structure="alias_table",
+            nbytes=prob.nbytes + alias.nbytes,
+            dims=(("d", 10.0),),
+        )
+        (divergence,) = verify_records([record])
+        assert "allocated 120 bytes, cost model says 160" in divergence
+
+
+# ----------------------------------------------------------------------
+# retained bytes: what MSan's trust in the builders' nbytes cannot see
+# ----------------------------------------------------------------------
+def retained_array_bytes(build):
+    """Bytes of numpy array data that ``build()``'s result keeps alive.
+
+    Counted in numpy's own ``tracemalloc`` domain, so interpreter and
+    shape-cache noise stays out and the count is exact.  Two untraced
+    warm-up builds first fill any lazy graph/model caches.
+    """
+    build()
+    build()
+    gc.collect()
+    only_arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_arrays)
+        kept = build()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only_arrays)
+    finally:
+        tracemalloc.stop()
+    del kept
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+
+
+class TestRetainedBytes:
+    """A build retains exactly the bytes its cost-model formula prices.
+
+    MSan compares the formulas with the ``nbytes`` each builder reports;
+    a persistent array the builder keeps but does not report (or a table
+    at the wrong width) shows up here instead.
+    """
+
+    @pytest.fixture(scope="class")
+    def hubs(self):
+        graph = barabasi_albert_graph(2_000, 5, rng=1)
+        nodes = np.argsort(-graph.degrees, kind="stable")[:20]
+        return graph, nodes, graph.degrees[nodes].astype(int).tolist()
+
+    @pytest.mark.parametrize("degree", [1_000, 20_000])
+    def test_alias_table(self, degree):
+        weights = np.random.default_rng(0).random(degree) + 0.1
+        retained = retained_array_bytes(lambda: AliasTable(weights))
+        assert retained == alias_table_memory(NUMPY_WIDTHS, degree)
+
+    def test_alias_arena(self, hubs):
+        graph, nodes, degrees = hubs
+        model = Node2VecModel(0.5, 2.0)
+        retained = retained_array_bytes(
+            lambda: build_arena(SamplerKind.ALIAS, graph, model, nodes)[0]
+        )
+        assert retained == sum(alias_memory(NUMPY_WIDTHS, d) for d in degrees)
+
+    def test_bounded_rejection_arena(self, hubs):
+        graph, nodes, degrees = hubs
+        model = Node2VecModel(0.5, 2.0)
+        retained = retained_array_bytes(
+            lambda: build_arena(SamplerKind.REJECTION, graph, model, nodes)[0]
+        )
+        assert retained == sum(
+            alias_table_memory(NUMPY_WIDTHS, d) for d in degrees
+        )
+
+    def test_exact_factors_rejection_arena(self, hubs):
+        graph, nodes, degrees = hubs
+        model = Node2VecModel(0.5, 2.0)
+        factors = np.ones(sum(degrees))
+        retained = retained_array_bytes(
+            lambda: build_arena(
+                SamplerKind.REJECTION, graph, model, nodes, factors=factors
+            )[0]
+        )
+        assert retained == sum(
+            rejection_memory(NUMPY_WIDTHS, d) for d in degrees
+        )
+
+
+class TestShardByteArithmetic:
+    """Every byte count on the residency path is the resident-shard
+    formula: the layouts' ``shard_nbytes``, the arrays a load maps, and
+    the manager's ``resident_bytes``."""
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "virtual"])
+    def test_shard_bytes_follow_the_cost_model(self, graph, tmp_path, on_disk):
+        if on_disk:
+            layout = write_sharded_layout(graph, tmp_path, num_shards=3)
+        else:
+            layout = VirtualShardLayout(graph, num_shards=3)
+        manager = ShardResidencyManager(layout)
+        resident = 0
+        for index in range(layout.num_shards):
+            spec = layout.shard_spec(index)
+            formula = resident_shard_memory(
+                NUMPY_WIDTHS, spec.stop - spec.start, spec.num_edges
+            )
+            assert layout.shard_nbytes(index) == formula
+            shard = manager.acquire(index)
+            mapped = (
+                shard.indptr.nbytes + shard.indices.nbytes + shard.weights.nbytes
+            )
+            assert mapped == formula
+            resident += formula
+            assert manager.resident_bytes == resident
+        assert layout.total_bytes == resident
+
+
+class TestCacheEntryBytes:
+    """Cache entries are charged their payloads' real bytes, never a
+    size guessed from element counts."""
+
+    def test_mixed_dtype_payload_is_charged_its_nbytes(self):
+        ids = np.arange(5, dtype=np.int32)
+        weights = np.linspace(0.5, 1.0, 5, dtype=np.float16)
+        assert NeighborhoodCache.entry_bytes((ids, weights)) == 5 * 4 + 5 * 2
+
+    def test_used_bytes_tracks_retained_payloads(self):
+        def payload(size, id_dtype, weight_dtype):
+            return (
+                np.arange(size, dtype=id_dtype),
+                np.ones(size, dtype=weight_dtype),
+            )
+
+        cache = NeighborhoodCache(200)
+        payloads = {
+            0: payload(10, np.int64, np.float64),  # 160 bytes
+            1: payload(6, np.int32, np.float32),  # 48 bytes: evicts 0
+            2: payload(9, np.int16, np.float16),  # 36 bytes
+        }
+        for key, value in payloads.items():
+            assert cache.put(key, value)
+        kept = [key for key in payloads if key in cache]
+        assert kept == [1, 2]
+        assert cache.used_bytes == sum(
+            payloads[key][0].nbytes + payloads[key][1].nbytes for key in kept
+        )
+        assert cache.peak_bytes == 160
 
 
 # ----------------------------------------------------------------------
@@ -303,38 +459,21 @@ class TestMsanReportCli:
         )
         assert code == 0
         printed = capsys.readouterr().out
-        assert "conform to the memory contracts" in printed
+        assert "conform to the cost model" in printed
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["ok"] is True
         assert payload["divergences"] == []
         assert "resident_shard" in payload["by_structure"]
 
-    def test_missing_contracts_file_is_an_argument_error(self, edgelist):
-        from repro.cli import main
-
-        code = main(
-            [
-                "msan-report",
-                str(edgelist),
-                "--budget",
-                "2e3",
-                "--contracts",
-                "/nonexistent/contracts.json",
-            ]
-        )
-        assert code == 2
-
     def test_divergent_contracts_exit_four(
-        self, edgelist, tmp_path, capsys
+        self, edgelist, monkeypatch, capsys
     ):
-        tampered = json.loads(json.dumps(CONTRACTS))
-        for structure in tampered["structures"]:
-            if structure["name"] == "alias_table":
-                structure["terms"] = [
-                    {"coeff": 1.0, "monomial": {"d": 1, "b_f": 1}}
-                ]
-        contracts = tmp_path / "tampered.json"
-        contracts.write_text(json.dumps(tampered), encoding="utf-8")
+        # Price floats at 4 bytes: the 8-byte tables the builders
+        # allocate then diverge from the formulas MSan evaluates.
+        monkeypatch.setattr(
+            "repro.analysis.msan.NUMPY_WIDTHS",
+            CostParams(float_bytes=4, int_bytes=8),
+        )
         from repro.cli import main
 
         code = main(
@@ -343,8 +482,6 @@ class TestMsanReportCli:
                 str(edgelist),
                 "--budget",
                 "2e3",
-                "--contracts",
-                str(contracts),
             ]
         )
         assert code == 4
