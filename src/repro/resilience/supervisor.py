@@ -32,6 +32,9 @@ EXHAUSTION_POLICIES = ("raise", "dead-letter")
 #: poll interval of the pool gather loop, seconds.
 _POLL_SECONDS = 0.005
 
+#: below this, a float cannot carry the jitter factor to its precision.
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -41,7 +44,9 @@ class RetryPolicy:
     retries entirely.  Backoff for attempt ``a`` (0-based, i.e. the delay
     before attempt ``a + 1``) is ``base_delay * backoff**a`` scaled by a
     jitter factor in ``[1, 1 + jitter]`` drawn deterministically from
-    ``(seed, chunk_index, attempt)``, capped at ``max_delay``.
+    ``(seed, chunk_index, attempt)``, capped at ``max_delay``.  A raw
+    delay below the smallest normal float is returned unjittered: at
+    subnormal precision the scaled value rounds outside that band.
     """
 
     max_attempts: int = 3
@@ -67,6 +72,8 @@ class RetryPolicy:
     def delay(self, chunk_index: int, attempt: int) -> float:
         """Backoff before retrying ``chunk_index`` after failed ``attempt``."""
         raw = self.base_delay * self.backoff ** attempt
+        if raw < _SMALLEST_NORMAL:
+            return float(min(self.max_delay, raw))
         u = np.random.default_rng(
             np.random.SeedSequence(
                 entropy=int(self.seed),

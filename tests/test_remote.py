@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace  # noqa: F401 - replace used by super
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -859,6 +859,18 @@ class TestRetryPolicyProperties:
         policy=policy_strategy,
         chunk=st.integers(min_value=0, max_value=10_000),
         attempt=st.integers(min_value=0, max_value=12),
+    )
+    @example(  # a subnormal raw delay: jitter would round out of the band
+        policy=RetryPolicy(
+            max_attempts=1,
+            base_delay=5e-324,
+            backoff=1.0,
+            max_delay=1.0,
+            jitter=1.75,
+            seed=141,
+        ),
+        chunk=1,
+        attempt=3,
     )
     def test_jitter_factor_within_advertised_band(self, policy, chunk, attempt):
         raw = policy.base_delay * policy.backoff**attempt
