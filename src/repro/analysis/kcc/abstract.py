@@ -560,9 +560,12 @@ class KernelInterpreter:
 def seed_environment(
     params: "list[tuple[str, str, str, str | None]]",
 ) -> dict[str, AbstractValue]:
-    """Initial env from ``(name, role, dtype, dim)`` contract params."""
+    """Initial env from ``(name, role, dtype, dim)`` contract params.
+    Declared widths join their lattice class (a float32 table is a float
+    array to the interpreter)."""
     env: dict[str, AbstractValue] = {}
     for name, role, dtype, dim in params:
+        dtype = _DTYPE_TOKENS.get(dtype, dtype)
         if role == "xp":
             env[name] = AbstractValue(kind="module")
         elif role in ("array", "uniform"):

@@ -73,9 +73,11 @@ _GEN_CONSTRUCTORS = {"ensure_rng", "spawn_rng", "make_chunk_rng", "default_rng"}
 _DTYPE_TOKENS = {
     "bool": "bool",
     "bool_": "bool",
+    "int32": "int32",
     "int64": "int64",
     "intp": "int64",
     "int": "int64",
+    "float32": "float32",
     "float64": "float64",
     "float": "float64",
 }
@@ -116,7 +118,7 @@ class ParamContract:
 
     name: str
     role: str  # "xp" | "array" | "uniform" | "scalar"
-    dtype: str  # "bool" | "int64" | "float64" | "unknown" | ""
+    dtype: str  # "bool" | "int32" | "int64" | "float32" | "float64" | "unknown" | ""
     dim: "str | None"
     annotation: str
 

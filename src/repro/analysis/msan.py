@@ -9,10 +9,13 @@ rejection/alias per-node sampler state, shards pinned by the residency
 manager — reports its **real** allocated bytes (straight from
 ``ndarray.nbytes``) together with the observed dims (degree ``d``, shard
 nodes ``n_s``, shard edges ``E_s``).  :func:`verify_records` evaluates
-the structure's :mod:`repro.cost.model` formula at those dims and at the
-byte widths numpy actually allocates (:data:`NUMPY_WIDTHS`, float64 and
-int64) and demands an **exact** byte match — any divergence means the
-optimizer's budget arithmetic has drifted from allocation reality, and
+the structure's :mod:`repro.cost.model` formula at those dims and
+demands an **exact** byte match.  Sampler tables are priced at
+``CostParams()``, the widths the optimizer charges and the builders
+allocate at; a resident shard is stored at its files' dtypes and is
+priced at the itemsizes its record carries (``b_i``, ``b_f``).  Any
+divergence means the optimizer's budget arithmetic has drifted from
+allocation reality, and
 :func:`check_records` raises
 :class:`~repro.exceptions.MemoryConformanceError` (loud, specific,
 fatal — the DSan posture, applied to bytes instead of RNG draws).  The
@@ -202,11 +205,6 @@ def msan_trace() -> Iterator[MsanTracer]:
 # ----------------------------------------------------------------------
 # conformance against the cost model
 # ----------------------------------------------------------------------
-#: The byte widths the builders allocate at (float64, int64).  The
-#: optimizer prices the same formulas at the paper's widths
-#: (:class:`~repro.cost.params.CostParams` defaults).
-NUMPY_WIDTHS = CostParams(float_bytes=8, int_bytes=8)
-
 #: ``(structure, variant)`` → its :mod:`repro.cost.model` byte formula
 #: and the record dims it takes, in order.
 _FORMULAS: dict[
@@ -228,7 +226,12 @@ def expected_bytes(record: MemRecord) -> "float | None":
         return None
     formula, names = entry
     dims = dict(record.dims)
-    return formula(NUMPY_WIDTHS, *(dims[name] for name in names))
+    params = CostParams()
+    if record.structure == "resident_shard":
+        params = CostParams(
+            float_bytes=int(dims["b_f"]), int_bytes=int(dims["b_i"])
+        )
+    return formula(params, *(dims[name] for name in names))
 
 
 def verify_records(records: Iterable[MemRecord]) -> list[str]:
@@ -327,7 +330,6 @@ __all__ = [
     "trace_alloc",
     "tracing_active",
     "msan_trace",
-    "NUMPY_WIDTHS",
     "expected_bytes",
     "verify_records",
     "check_records",

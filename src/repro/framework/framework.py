@@ -305,8 +305,10 @@ class MemoryAwareFramework:
         the surviving samplers' tables (copied) and the rebuilt nodes'
         tables, and the old one is freed with the old samplers once the
         update commits.  Both arenas of a kind are alive until then, so
-        the transient peak is the old plus the new arena of every kind
-        that changed.  A batch engine made before the update keeps
+        the traced peak of an update, a decrease included, is the old
+        arenas plus the new ones plus one block pass of build temporaries
+        (see :data:`~repro.bounding.blocks.BLOCK_ENTRIES`): more than
+        either budget.  A batch engine made before the update keeps
         walking (and holding) the old arenas.
         """
         if self._adaptive is None:

@@ -86,10 +86,11 @@ class MemoryMeter:
         """Net charged bytes per ``what`` label.
 
         The modeled-side twin of the MSan runtime trace: meter charges
-        are priced in the cost model's units (4-byte paper itemsizes by
-        default), MSan records physical ``nbytes`` (8-byte numpy dtypes)
-        — see the cost-model invariants section of ``docs/performance.md``
-        for why the two currencies differ by exactly the itemsize ratio.
+        are priced by the cost model at the framework's ``CostParams``,
+        and the sampler tables are stored at the default widths, so under
+        the default parameters a table's charge is its real ``nbytes``
+        (bounded rejection stores less: see the cost-model invariants
+        section of ``docs/performance.md``).
         """
         return dict(self._ledger)
 

@@ -19,18 +19,27 @@ Table arenas
 ------------
 The rejection and alias samplers own no buffers.  A build writes the
 tables of every node of one kind into one :class:`TableArena`: a
-probability and an alias buffer (``float64``/``int64``), plus a buffer
-of acceptance factors for rejection samplers of a model without a
-closed-form bound.  Node ``v`` holds the slots from its offset ``o_v``:
+probability and an alias buffer, plus a buffer of acceptance factors for
+rejection samplers of a model without a closed-form bound.  Every buffer
+is stored at the byte widths the cost model charges
+(:data:`~repro.sampling.alias.TABLE_FLOAT` and
+:data:`~repro.sampling.alias.TABLE_INT`, ``b_f`` and ``b_i`` of Table
+1), so an arena holds the bytes the optimizer priced: exactly, except
+rejection state under a closed-form bound, which stores no factors.
+Node ``v`` holds the slots from its offset ``o_v``:
 
 * alias: the n2e table at ``o_v``, and the e2e table of arrivals from
   ``neighbors(v)[i]`` at ``o_v + (i + 1) · d_v``;
 * rejection: the n2e proposal table, and the acceptance factor of
   arrivals from ``neighbors(v)[i]``, at ``o_v + i``.
 
+Acceptance factors are rounded toward zero when they are stored, so
+``r_uvz · factor`` never exceeds 1 and stays a valid rejection envelope.
+
 A sampler keeps its arena and offset.  The :class:`AliasTable` objects
 ``first_order``, ``tables``, ``proposal`` and ``table_for`` return are
-views made when asked, and the scalar draws read the slots directly.
+views made when asked (bit-identical to standalone tables over the same
+weights), and the scalar draws read the slots directly.
 The batch engine walks the arenas themselves
 (:class:`~repro.walks.BatchWalkEngine`), so the tables exist once.
 """
@@ -60,7 +69,7 @@ from ..graph.csr import segment_positions
 from ..models import SecondOrderModel
 from ..models.base import row_positions
 from ..sampling import AliasTable
-from ..sampling.alias import build_alias_tables
+from ..sampling.alias import TABLE_FLOAT, TABLE_INT, build_alias_tables
 from .interfaces import NodeSampler
 
 
@@ -168,9 +177,12 @@ class TableArena:
     """The tables of many samplers of one kind, in flat buffers.
 
     Each sampler owns the slots from its offset on (layout in the module
-    docstring).  ``factors`` holds rejection acceptance factors, or is
-    ``None`` when the model's closed-form bound serves every edge (and
-    always for the alias kind).
+    docstring).  ``prob`` and ``factors`` are :data:`TABLE_FLOAT` and
+    ``alias`` is :data:`TABLE_INT`, the widths the cost model charges, so
+    :attr:`nbytes` is at most the meter's charge for the tables held.
+    ``factors`` holds rejection acceptance factors, or is ``None`` when
+    the model's closed-form bound serves every edge (and always for the
+    alias kind).
     """
 
     kind: SamplerKind
@@ -193,7 +205,7 @@ def _alias_draw(
     """One draw from the alias table in slots ``start .. start + size - 1``
     of ``arena``, in :meth:`AliasTable.sample`'s draw order."""
     x = int(rng.integers(size))
-    if rng.random() <= arena.prob[start + x]:
+    if rng.random() <= float(arena.prob[start + x]):
         return x
     return int(arena.alias[start + x])
 
@@ -293,11 +305,11 @@ class RejectionNodeSampler(_ArenaSampler):
         node, its n2e proposal table, plus per-incoming-edge acceptance
         factors unless the model's closed-form bound serves every edge.
         ``traced`` reports each node's real bytes to MSan."""
-        prob = np.empty(int(np.sum(degrees)), dtype=np.float64)
-        alias = np.empty(int(np.sum(degrees)), dtype=np.int64)
+        prob = np.empty(int(np.sum(degrees)), dtype=TABLE_FLOAT)
+        alias = np.empty(int(np.sum(degrees)), dtype=TABLE_INT)
         factors = None
         if factored:
-            factors = np.empty(int(np.sum(degrees)), dtype=np.float64)
+            factors = np.empty(int(np.sum(degrees)), dtype=TABLE_FLOAT)
         if traced:
             end = 0
             for degree in degrees.tolist():
@@ -332,8 +344,9 @@ class RejectionNodeSampler(_ArenaSampler):
     @property
     def edge_factors(self) -> np.ndarray | None:
         """Read-only per-incoming-edge acceptance factors aligned with
-        ``graph.neighbors(node)``, or ``None`` when the model's closed-form
-        bound serves every edge."""
+        ``graph.neighbors(node)`` (as stored: :data:`TABLE_FLOAT`, rounded
+        toward zero), or ``None`` when the model's closed-form bound
+        serves every edge."""
         if self._arena.factors is None:
             return None
         end = self._offset + len(self._neighbors)
@@ -450,8 +463,8 @@ class AliasNodeSampler(_ArenaSampler):
         first, then one e2e table per previous node ``u ∈ N(v)``: the d_v²
         memory term.  ``traced`` reports each node's real bytes to MSan,
         table by table."""
-        prob = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=np.float64)
-        alias = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=np.int64)
+        prob = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=TABLE_FLOAT)
+        alias = np.empty(int(np.sum((degrees + 1) * degrees)), dtype=TABLE_INT)
         if traced:
             end = 0
             for degree in degrees.tolist():
@@ -717,8 +730,18 @@ def _fill_rejection(
             block_factors = factors[taken : taken + len(block.us)]
             taken += len(block.us)
         arena.factors[segment_positions(at + block.first, block.counts)] = (
-            block_factors
+            _stored_factors(block_factors)
         )
+
+
+def _stored_factors(factors: np.ndarray) -> np.ndarray:
+    """``factors`` at :data:`TABLE_FLOAT`, each rounded toward zero: a
+    factor rounded up could make ``r_uvz · factor`` exceed 1 at the
+    largest ratio, so the accepted law would no longer be the target."""
+    stored = factors.astype(TABLE_FLOAT)
+    up = stored > factors
+    stored[up] = np.nextafter(stored[up], TABLE_FLOAT.type(0))
+    return stored
 
 
 def _fill_alias(

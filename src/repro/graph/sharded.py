@@ -667,11 +667,19 @@ class VirtualShardLayout:
         return np.asarray(result, dtype=np.int64)
 
     def shard_nbytes(self, index: int) -> int:
-        """Bytes shard ``index`` occupies when resident (same formula as disk)."""
+        """Bytes shard ``index`` occupies when resident: the resident-shard
+        formula at the shard files' widths, as on disk."""
+        # Deferred import: repro.cost imports the graph package.
+        from ..cost import CostParams, resident_shard_memory
+
         start = int(self.boundaries[index])
         stop = int(self.boundaries[index + 1])
         num_edges = int(self.indptr[stop] - self.indptr[start])
-        return (stop - start + 1) * 8 + num_edges * 16
+        widths = CostParams(
+            float_bytes=np.dtype(_DTYPES["weights"]).itemsize,
+            int_bytes=np.dtype(_DTYPES["indices"]).itemsize,
+        )
+        return int(resident_shard_memory(widths, stop - start, num_edges))
 
     def shard_spec(self, index: int) -> ShardSpec:
         """Zero-copy spec of virtual shard ``index``."""
@@ -816,6 +824,8 @@ class ShardResidencyManager:
             ),
             n_s=spec.stop - spec.start,
             E_s=spec.num_edges,
+            b_i=shard.indices.itemsize,
+            b_f=shard.weights.itemsize,
         )
         self._resident[index] = shard
         self._resident_bytes += shard.nbytes

@@ -3,12 +3,19 @@
 Builds a probability table ``U`` and an alias table ``K`` in ``O(n)`` and
 draws in ``O(1)``: pick a uniform column ``x``, return ``x`` with
 probability ``U[x]`` and the alias ``K[x]`` otherwise.
+
+Tables are stored at the byte widths the cost model charges (``b_f`` and
+``b_i`` of Table 1): the build runs in float64 and rounds each ``U``
+entry once to :data:`TABLE_FLOAT`, and ``K`` holds column indices, which
+:data:`TABLE_INT` always fits.  A draw compares its float64 uniform with
+the stored ``U`` widened back to float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..constants import DEFAULT_FLOAT_BYTES, DEFAULT_INT_BYTES
 from ..rng import RngLike, ensure_rng
 from .base import DiscreteSampler
 from .utils import normalize_distribution, validate_segments
@@ -20,6 +27,12 @@ def _msan_trace(structure: str, nbytes: int, **dims: float) -> None:
     from ..analysis.msan import trace_alloc
 
     trace_alloc(structure, nbytes, **dims)
+
+
+#: dtype of stored probabilities and acceptance factors (``b_f`` bytes).
+TABLE_FLOAT = np.dtype(f"f{DEFAULT_FLOAT_BYTES}")
+#: dtype of stored alias entries (``b_i`` bytes).
+TABLE_INT = np.dtype(f"i{DEFAULT_INT_BYTES}")
 
 
 class AliasTable(DiscreteSampler):
@@ -40,10 +53,10 @@ class AliasTable(DiscreteSampler):
         # table writes are vectorised; only the inherently sequential Vose
         # pairing (each donation mutates the donor's residual) stays a
         # loop, run over native lists/floats for speed.  The pairing order
-        # matches the historical list-worklist build exactly, so tables
-        # are bit-identical to previous releases.
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
+        # matches the historical list-worklist build exactly; the float64
+        # residuals are rounded once, when stored.
+        prob = np.ones(n, dtype=TABLE_FLOAT)
+        alias = np.arange(n, dtype=TABLE_INT)
         small = np.flatnonzero(scaled_arr < 1.0).tolist()
         large = np.flatnonzero(scaled_arr >= 1.0).tolist()
         scaled = scaled_arr.tolist()
@@ -87,8 +100,8 @@ class AliasTable(DiscreteSampler):
 
     @property
     def nbytes(self) -> int:
-        """Real resident bytes of the two tables (physical, not the
-        4-byte paper units :meth:`memory_bytes` prices in)."""
+        """Real resident bytes of the two tables: :meth:`memory_bytes` at
+        the default widths."""
         return int(self._prob.nbytes + self._alias.nbytes)
 
     @property
@@ -103,7 +116,9 @@ class AliasTable(DiscreteSampler):
 
     def sample(self, rng: np.random.Generator) -> int:
         x = int(rng.integers(self.num_outcomes))
-        if rng.random() <= self._prob[x]:
+        # float(): a Python float against a float32 scalar would compare
+        # at float32, unlike the array draws.
+        if rng.random() <= float(self._prob[x]):
             return x
         return int(self._alias[x])
 
@@ -126,7 +141,8 @@ def build_alias_tables(
 
     Segment ``i`` of ``flat`` holds the next ``sizes[i]`` weights.  Its
     probability and alias entries land at the same flat positions, with
-    aliases local to the segment.  Every segment comes out bit-identical
+    aliases local to the segment, at :data:`TABLE_FLOAT` and
+    :data:`TABLE_INT`.  Every segment comes out bit-identical
     to ``AliasTable(segment)``: the normalisation reproduces ``arr.sum()``
     (see :func:`~repro.sampling.utils.segment_sums`), and each table keeps
     the scalar build's worklist order.  One loop iteration performs the
@@ -186,4 +202,4 @@ def build_alias_tables(
     # Retired outcomes keep the residual they were paired with; the
     # leftovers are exactly-1 columns up to float error (prob 1, self).
     prob = np.where(alias != local, scaled, 1.0)
-    return prob, alias
+    return prob.astype(TABLE_FLOAT), alias.astype(TABLE_INT)

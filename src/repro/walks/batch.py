@@ -71,6 +71,7 @@ from ..graph import CSRGraph
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
+from ..sampling.alias import TABLE_FLOAT, TABLE_INT
 from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
@@ -655,12 +656,12 @@ class BatchWalkEngine:
         prob_flat = (
             np.concatenate([t.probability_table for t in tables])
             if tables
-            else np.empty(0)
+            else np.empty(0, dtype=TABLE_FLOAT)
         )
         alias_flat = (
             np.concatenate([t.alias_table for t in tables])
             if tables
-            else np.empty(0, dtype=np.int64)
+            else np.empty(0, dtype=TABLE_INT)
         )
         starts_flat = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         return prob_flat, alias_flat, starts_flat, sizes

@@ -151,8 +151,8 @@ def segmented_inverse_cdf(
 
 
 def flat_alias_pick(
-    prob_flat: npt.NDArray[np.float64],
-    alias_flat: npt.NDArray[np.int64],
+    prob_flat: npt.NDArray[np.float32],
+    alias_flat: npt.NDArray[np.int32],
     base: npt.NDArray[np.int64],
     sizes: npt.NDArray[np.int64],
     u_column: npt.NDArray[np.float64],
@@ -174,8 +174,8 @@ def flat_alias_pick(
 
 
 def gathered_alias_pick(
-    prob_flat: npt.NDArray[np.float64],
-    alias_flat: npt.NDArray[np.int64],
+    prob_flat: npt.NDArray[np.float32],
+    alias_flat: npt.NDArray[np.int32],
     starts_flat: npt.NDArray[np.int64],
     sizes: npt.NDArray[np.int64],
     group: npt.NDArray[np.int64],

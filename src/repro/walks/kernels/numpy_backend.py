@@ -119,8 +119,8 @@ def segmented_inverse_cdf(
 @hot_path
 def flat_alias_pick(
     xp: Any,
-    prob_flat: npt.NDArray[np.float64],
-    alias_flat: npt.NDArray[np.int64],
+    prob_flat: npt.NDArray[np.float32],
+    alias_flat: npt.NDArray[np.int32],
     base: npt.NDArray[np.int64],
     sizes: npt.NDArray[np.int64],
     u_column: npt.NDArray[np.float64],
@@ -131,7 +131,9 @@ def flat_alias_pick(
     Walker ``w`` resolves the ``sizes[w]``-wide alias table starting at
     ``base[w]`` with its two pre-drawn uniforms: ``u_column`` selects the
     column, ``u_keep`` the keep-vs-alias branch.  Returns the picked
-    column within each walker's table.
+    column within each walker's table.  The tables are read in place at
+    their stored widths; the keep test widens ``prob_flat`` to the
+    uniforms' float64.
     """
     # kcc: dims=prob_flat:T,alias_flat:T,base:W,sizes:W,u_column:W,u_keep:W
     columns = xp.minimum((u_column * sizes).astype(xp.int64), sizes - 1)
@@ -143,8 +145,8 @@ def flat_alias_pick(
 @hot_path
 def gathered_alias_pick(
     xp: Any,
-    prob_flat: npt.NDArray[np.float64],
-    alias_flat: npt.NDArray[np.int64],
+    prob_flat: npt.NDArray[np.float32],
+    alias_flat: npt.NDArray[np.int32],
     starts_flat: npt.NDArray[np.int64],
     sizes: npt.NDArray[np.int64],
     group: npt.NDArray[np.int64],

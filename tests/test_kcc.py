@@ -89,7 +89,9 @@ class TestContractExtraction:
         for contract in program.contracts.values():
             assert contract.params[0].role == "xp"
             for param in contract.params[1:]:
-                assert param.dtype in ("bool", "int64", "float64"), (
+                assert param.dtype in (
+                    "bool", "int32", "int64", "float32", "float64"
+                ), (
                     contract.name,
                     param.name,
                 )

@@ -10,12 +10,14 @@ bit-identical corpora across backends.
 
 Edge cases the generators are steered into: zero-mass segments (the
 sentinel path), single-walker calls, walkers that all share one segment,
-and empty frontiers.
+and empty frontiers.  Alias tables are drawn at the widths the arenas
+store (``TABLE_FLOAT``/``TABLE_INT``).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.sampling.alias import TABLE_FLOAT, TABLE_INT
 from repro.walks.kernels import numba_backend, numpy_backend
 
 MAX_EXAMPLES = 40
@@ -24,6 +26,10 @@ unit = st.floats(
     min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
 )
 mass = st.floats(min_value=0.0, max_value=8.0, allow_nan=False, width=64)
+#: stored keep probabilities: exactly representable at the table width.
+stored_unit = st.floats(
+    min_value=0.0, max_value=1.0, allow_nan=False, width=8 * TABLE_FLOAT.itemsize
+)
 
 
 def assert_bitwise_equal(a, b):
@@ -190,14 +196,14 @@ class TestFlatAliasPick:
         )
         table = int((base + sizes).max())
         prob_flat = np.asarray(
-            data.draw(st.lists(unit, min_size=table, max_size=table)),
-            np.float64,
+            data.draw(st.lists(stored_unit, min_size=table, max_size=table)),
+            TABLE_FLOAT,
         )
         alias_flat = np.asarray(
             data.draw(
                 st.lists(st.integers(0, 5), min_size=table, max_size=table)
             ),
-            np.int64,
+            TABLE_INT,
         )
         u_column = np.asarray(
             data.draw(st.lists(unit, min_size=k, max_size=k)), np.float64
@@ -214,6 +220,28 @@ class TestFlatAliasPick:
         assert_bitwise_equal(out_np, out_py)
 
 
+    def test_keep_compares_at_float64(self):
+        # A uniform just above a stored probability takes the alias, even
+        # though it would round onto that probability at the table width.
+        prob_flat = np.asarray([0.1], TABLE_FLOAT)
+        alias_flat = np.asarray([1], TABLE_INT)
+        stored = float(prob_flat[0])
+        above = np.nextafter(stored, 1.0)
+        assert TABLE_FLOAT.type(above) == prob_flat[0]
+        base = np.asarray([0, 0], np.int64)
+        sizes = np.asarray([1, 1], np.int64)
+        u_column = np.asarray([0.5, 0.5], np.float64)
+        u_keep = np.asarray([stored, above], np.float64)
+        out_np = numpy_backend.flat_alias_pick(
+            np, prob_flat, alias_flat, base, sizes, u_column, u_keep
+        )
+        out_py = numba_backend.flat_alias_pick(
+            prob_flat, alias_flat, base, sizes, u_column, u_keep
+        )
+        assert out_np.tolist() == [0, 1]
+        assert_bitwise_equal(out_np, out_py)
+
+
 class TestGatheredAliasPick:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(data=st.data(), layout=segment_layouts())
@@ -221,14 +249,14 @@ class TestGatheredAliasPick:
         sizes, starts = layout
         table = int(sizes.sum())
         prob_flat = np.asarray(
-            data.draw(st.lists(unit, min_size=table, max_size=table)),
-            np.float64,
+            data.draw(st.lists(stored_unit, min_size=table, max_size=table)),
+            TABLE_FLOAT,
         )
         alias_flat = np.asarray(
             data.draw(
                 st.lists(st.integers(0, 5), min_size=table, max_size=table)
             ),
-            np.int64,
+            TABLE_INT,
         )
         group, u_column, u_keep = data.draw(walkers_over(len(sizes)))
         out_np = numpy_backend.gathered_alias_pick(

@@ -3,10 +3,11 @@
 Every instrumented structure build (alias tables, rejection/alias
 per-node sampler state, resident shards) must report real ``nbytes``
 equal *exactly* to its :mod:`repro.cost.model` byte formula at the
-observed dims and numpy's 8-byte widths.  MSan trusts each builder's
-reported ``nbytes``; the ``tracemalloc`` tests below check the bytes a
-build actually retains, which catches an array a builder keeps but does
-not report.
+observed dims: sampler tables at the widths the optimizer charges
+(``CostParams()``), resident shards at their arrays' itemsizes.  MSan
+trusts each builder's reported ``nbytes``; the ``tracemalloc`` tests
+below check the bytes a build actually retains, which catches an array
+a builder keeps but does not report.
 """
 
 import gc
@@ -18,7 +19,6 @@ import pytest
 
 from repro import MemoryAwareFramework, Node2VecModel
 from repro.analysis.msan import (
-    NUMPY_WIDTHS,
     MemRecord,
     build_report,
     check_records,
@@ -51,6 +51,10 @@ from repro.graph.sharded import (
 )
 from repro.remote import NeighborhoodCache
 from repro.sampling.alias import AliasTable
+
+
+#: The widths the optimizer charges, which the table builders allocate at.
+WIDTHS = CostParams()
 
 
 @pytest.fixture()
@@ -98,10 +102,11 @@ class TestSwitch:
 
         monkeypatch.setenv("REPRO_MSAN", "1")
         monkeypatch.setattr(msan, "_TRACER", None)
+        conformant = int(alias_table_memory(WIDTHS, 10))
         try:
-            msan.trace_alloc("alias_table", 160, d=10.0)  # conformant
+            msan.trace_alloc("alias_table", conformant, d=10.0)
             with pytest.raises(MemoryConformanceError):
-                msan.trace_alloc("alias_table", 161, d=10.0)
+                msan.trace_alloc("alias_table", conformant + 1, d=10.0)
             tracer = msan.global_tracer()
             assert tracer is not None and tracer.check
             assert len(tracer.records) == 1  # the divergent event died
@@ -118,7 +123,7 @@ class TestStructureConformance:
             AliasTable(np.ones(13))
         (record,) = tracer.records
         assert record.structure == "alias_table"
-        assert record.nbytes == 13 * 8 + 13 * 8
+        assert record.nbytes == 13 * 4 + 13 * 4
         assert verify_records(tracer.records) == []
 
     def test_rejection_exact_factors_match_contract(self, graph):
@@ -149,7 +154,7 @@ class TestStructureConformance:
         (record,) = records
         assert record.variant == "bounded"
         degree = graph.degree(1)
-        assert record.nbytes == 16 * degree  # proposal tables only
+        assert record.nbytes == 8 * degree  # proposal tables only
         assert verify_records(tracer.records) == []
 
     def test_alias_state_matches_contract(self, graph):
@@ -181,6 +186,11 @@ class TestStructureConformance:
         ]
         assert len(records) == 3
         assert sum(dict(r.dims)["E_s"] for r in records) == graph.num_edges
+        # Shards keep their files' int64/float64 and are priced at them.
+        assert all(
+            dict(r.dims)["b_i"] == 8 and dict(r.dims)["b_f"] == 8
+            for r in records
+        )
         assert verify_records(records) == []
 
     def test_batch_walk_workload_is_fully_conformant(self, graph):
@@ -203,14 +213,14 @@ class TestDivergenceDetection:
     def test_byte_drift_is_reported_exactly(self):
         record = MemRecord(
             structure="alias_table",
-            nbytes=10 * 16 + 1,  # one byte over the cost model
+            nbytes=10 * 8 + 1,  # one byte over the cost model
             dims=(("d", 10.0),),
         )
         divergences = verify_records([record])
         assert len(divergences) == 1
         assert "alias_table" in divergences[0]
-        assert "161" in divergences[0]
-        assert "160" in divergences[0]
+        assert "81" in divergences[0]
+        assert "80" in divergences[0]
 
     def test_unknown_structure_is_a_divergence(self):
         record = MemRecord(
@@ -251,17 +261,17 @@ class TestDivergenceDetection:
             tracer.records[0].to_dict()
         ) == tracer.records[0]
 
-    def test_float32_table_is_a_divergence(self):
-        # A table built at 4-byte floats under the 8-byte-width formula.
-        prob = np.ones(10, dtype=np.float32)
-        alias = np.zeros(10, dtype=np.int64)
+    def test_float64_table_is_a_divergence(self):
+        # A table built at 8-byte floats under the 4-byte-width formula.
+        prob = np.ones(10, dtype=np.float64)
+        alias = np.zeros(10, dtype=np.int32)
         record = MemRecord(
             structure="alias_table",
             nbytes=prob.nbytes + alias.nbytes,
             dims=(("d", 10.0),),
         )
         (divergence,) = verify_records([record])
-        assert "allocated 120 bytes, cost model says 160" in divergence
+        assert "allocated 120 bytes, cost model says 80" in divergence
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +318,7 @@ class TestRetainedBytes:
     def test_alias_table(self, degree):
         weights = np.random.default_rng(0).random(degree) + 0.1
         retained = retained_array_bytes(lambda: AliasTable(weights))
-        assert retained == alias_table_memory(NUMPY_WIDTHS, degree)
+        assert retained == alias_table_memory(WIDTHS, degree)
 
     def test_alias_arena(self, hubs):
         graph, nodes, degrees = hubs
@@ -316,7 +326,7 @@ class TestRetainedBytes:
         retained = retained_array_bytes(
             lambda: build_arena(SamplerKind.ALIAS, graph, model, nodes)[0]
         )
-        assert retained == sum(alias_memory(NUMPY_WIDTHS, d) for d in degrees)
+        assert retained == sum(alias_memory(WIDTHS, d) for d in degrees)
 
     def test_bounded_rejection_arena(self, hubs):
         graph, nodes, degrees = hubs
@@ -325,7 +335,7 @@ class TestRetainedBytes:
             lambda: build_arena(SamplerKind.REJECTION, graph, model, nodes)[0]
         )
         assert retained == sum(
-            alias_table_memory(NUMPY_WIDTHS, d) for d in degrees
+            alias_table_memory(WIDTHS, d) for d in degrees
         )
 
     def test_exact_factors_rejection_arena(self, hubs):
@@ -338,14 +348,15 @@ class TestRetainedBytes:
             )[0]
         )
         assert retained == sum(
-            rejection_memory(NUMPY_WIDTHS, d) for d in degrees
+            rejection_memory(WIDTHS, d) for d in degrees
         )
 
 
 class TestShardByteArithmetic:
     """Every byte count on the residency path is the resident-shard
-    formula: the layouts' ``shard_nbytes``, the arrays a load maps, and
-    the manager's ``resident_bytes``."""
+    formula at the shard arrays' own widths: the layouts'
+    ``shard_nbytes``, the arrays a load maps, and the manager's
+    ``resident_bytes``."""
 
     @pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "virtual"])
     def test_shard_bytes_follow_the_cost_model(self, graph, tmp_path, on_disk):
@@ -357,11 +368,15 @@ class TestShardByteArithmetic:
         resident = 0
         for index in range(layout.num_shards):
             spec = layout.shard_spec(index)
+            shard = manager.acquire(index)
+            widths = CostParams(
+                float_bytes=shard.weights.itemsize,
+                int_bytes=shard.indices.itemsize,
+            )
             formula = resident_shard_memory(
-                NUMPY_WIDTHS, spec.stop - spec.start, spec.num_edges
+                widths, spec.stop - spec.start, spec.num_edges
             )
             assert layout.shard_nbytes(index) == formula
-            shard = manager.acquire(index)
             mapped = (
                 shard.indptr.nbytes + shard.indices.nbytes + shard.weights.nbytes
             )
@@ -468,11 +483,10 @@ class TestMsanReportCli:
     def test_divergent_contracts_exit_four(
         self, edgelist, monkeypatch, capsys
     ):
-        # Price floats at 4 bytes: the 8-byte tables the builders
-        # allocate then diverge from the formulas MSan evaluates.
+        # Build the arenas' probabilities at 8 bytes: the tables then
+        # diverge from the 4-byte widths the cost model charges.
         monkeypatch.setattr(
-            "repro.analysis.msan.NUMPY_WIDTHS",
-            CostParams(float_bytes=4, int_bytes=8),
+            "repro.framework.node_samplers.TABLE_FLOAT", np.dtype(np.float64)
         )
         from repro.cli import main
 

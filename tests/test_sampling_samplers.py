@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from repro import AliasTable, CumulativeSampler, NaiveSampler, RejectionSampler
+from repro.cost import SamplerKind
 from repro.exceptions import DistributionError, SamplerError
+from repro.framework.node_samplers import TableArena, _alias_draw
+from repro.sampling.alias import TABLE_FLOAT, TABLE_INT
 from repro.sampling.utils import empirical_distribution, total_variation_distance
 
 TARGET = np.array([0.2, 0.3, 0.4, 0.1])  # the paper's Figure 3 example
@@ -76,6 +79,19 @@ class TestNaiveSampler:
         assert 1 not in samples
 
 
+class _ColumnZero:
+    """A generator stand-in whose draws pick column 0, then ``uniform``."""
+
+    def __init__(self, uniform: float) -> None:
+        self.uniform = uniform
+
+    def integers(self, high: int) -> int:
+        return 0
+
+    def random(self) -> float:
+        return self.uniform
+
+
 class TestAliasTable:
     def test_matches_target(self, rng):
         assert tv_of(AliasTable(TARGET), TARGET, rng) < 0.02
@@ -103,6 +119,27 @@ class TestAliasTable:
     def test_single_outcome(self, rng):
         table = AliasTable([3.0])
         assert table.sample(rng) == 0
+
+    def test_tables_are_stored_at_the_cost_model_widths(self):
+        table = AliasTable(TARGET)
+        assert table.probability_table.dtype == TABLE_FLOAT
+        assert table.alias_table.dtype == TABLE_INT
+        assert table.nbytes == table.memory_bytes()
+
+    def test_scalar_draws_compare_at_float64(self):
+        # A uniform just above a stored keep probability takes the alias,
+        # as in the array draws, though it rounds onto that probability at
+        # the table width.
+        prob = np.asarray([0.1, 1.0], TABLE_FLOAT)
+        alias = np.asarray([1, 1], TABLE_INT)
+        stored = float(prob[0])
+        above = np.nextafter(stored, 1.0)
+        assert TABLE_FLOAT.type(above) == prob[0]
+        table = AliasTable._from_arrays(prob, alias)
+        arena = TableArena(SamplerKind.ALIAS, prob, alias)
+        for uniform, expected in ((stored, 0), (above, 1)):
+            assert table.sample(_ColumnZero(uniform)) == expected
+            assert _alias_draw(arena, 0, 2, _ColumnZero(uniform)) == expected
 
     def test_highly_skewed(self, rng):
         target = np.array([0.999, 0.0005, 0.0005])

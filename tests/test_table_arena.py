@@ -6,7 +6,10 @@ path: the sampler tables exist once (the engine's table arrays *are* the
 samplers' arenas), a budget update frees what it drops (the compacted
 arena holds exactly the new assignment's tables), a rolled-back update
 leaves the old arena alone, and a framework retains its arenas plus
-``O(|V|)`` bookkeeping — no per-table objects.
+``O(|V|)`` bookkeeping — no per-table objects.  The arenas are stored at
+the widths the cost model charges, so on every memory-aware path the
+bytes they hold are at most what the budget was charged for them, and
+exactly that for alias tables and exact-factor rejection state.
 """
 
 from __future__ import annotations
@@ -19,14 +22,20 @@ import pytest
 
 from repro import (
     AutoregressiveModel,
+    CostParams,
     MemoryAwareFramework,
     Node2VecModel,
     SamplerKind,
+    WalkCorpus,
 )
+from repro.analysis import diagnose_walks
+from repro.bounding.blocks import BLOCK_ENTRIES
+from repro.cost import alias_memory, alias_table_memory, rejection_memory
 from repro.distributed import PartitionedFramework, hash_partition
 from repro.exceptions import SimulatedOOMError
 from repro.framework import build_node_sampler, build_node_samplers
-from repro.graph import barabasi_albert_graph
+from repro.graph import barabasi_albert_graph, powerlaw_cluster_graph
+from repro.sampling.alias import TABLE_FLOAT, TABLE_INT
 from repro.walks import BatchWalkEngine
 
 MODELS = [Node2VecModel(0.25, 4.0), AutoregressiveModel(0.3)]
@@ -38,8 +47,8 @@ def graph():
     return barabasi_albert_graph(300, 4, rng=3)
 
 
-def samplers_of(framework, graph):
-    return [framework.sampler(v) for v in range(graph.num_nodes)]
+def samplers_of(framework):
+    return list(framework._samplers)
 
 
 def arenas_by_kind(samplers) -> dict[SamplerKind, set[int]]:
@@ -61,18 +70,86 @@ def arena_of_kind(samplers) -> dict:
     }
 
 
-def table_bytes(graph, model, kinds: np.ndarray) -> dict[SamplerKind, int]:
-    """Real bytes of the tables an assignment needs, by kind: 16 bytes a
-    slot (a float64 probability and an int64 alias), plus 8 per rejection
-    slot when the model has no closed-form bound."""
-    d = graph.degrees.astype(np.int64)
-    factor = 8 if model.max_ratio_bound(graph) is None else 0
+def assigned_kinds(framework) -> np.ndarray:
+    """The sampler kind the framework's optimizer gave each node."""
+    if isinstance(framework, PartitionedFramework):
+        kinds = np.empty(framework.graph.num_nodes, dtype=np.int64)
+        for worker, assignment in enumerate(framework.worker_assignments):
+            kinds[framework.partition == worker] = assignment.samplers
+        return kinds
+    return framework.assignment.samplers
+
+
+def is_bounded(framework) -> bool:
+    """Whether rejection samplers use the model's closed-form bound (and
+    so hold no acceptance factors)."""
+    return framework.model.max_ratio_bound(framework.graph) is not None
+
+
+def table_bytes(framework) -> dict[SamplerKind, int]:
+    """Bytes the tables of the framework's assignment take, by kind: the
+    ``cost/model.py`` formulas at the framework's widths.  A rejection
+    node under a closed-form bound holds its proposal table only."""
+    params = framework.cost_params
+    degrees = framework.graph.degrees.tolist()
+    kinds = assigned_kinds(framework).tolist()
+    rejection = alias_table_memory if is_bounded(framework) else rejection_memory
+    formulas = {SamplerKind.ALIAS: alias_memory, SamplerKind.REJECTION: rejection}
     return {
-        SamplerKind.ALIAS: int((16 * (d + 1) * d)[kinds == SamplerKind.ALIAS].sum()),
-        SamplerKind.REJECTION: int(
-            ((16 + factor) * d)[kinds == SamplerKind.REJECTION].sum()
-        ),
+        kind: int(sum(
+            formula(params, d)
+            for d, k in zip(degrees, kinds)
+            if k == kind and d > 0
+        ))
+        for kind, formula in formulas.items()
     }
+
+
+def charged_bytes(framework) -> dict[SamplerKind, float]:
+    """What the budget charged each kind's tables: the cost-table memory
+    of its nodes.  Where the framework has a meter, its ledger says the
+    same."""
+    kinds = assigned_kinds(framework)
+    rows = np.arange(framework.graph.num_nodes)
+    memory = framework.cost_table.memory[rows, kinds]
+    active = framework.graph.degrees > 0
+    charged = {
+        kind: float(memory[active & (kinds == kind)].sum())
+        for kind in (SamplerKind.REJECTION, SamplerKind.ALIAS)
+    }
+    meter = getattr(framework, "meter", None)
+    if meter is not None:
+        for kind, amount in charged.items():
+            prefix = f"{kind.name.lower()} sampler at node "
+            ledger = sum(
+                b for label, b in meter.ledger.items() if label.startswith(prefix)
+            )
+            assert ledger == pytest.approx(amount)
+    return charged
+
+
+def arena_bytes(framework) -> dict[SamplerKind, int]:
+    """Real bytes of the framework's arenas, by kind (0 when none)."""
+    arenas = arena_of_kind(samplers_of(framework))
+    return {
+        kind: arenas[kind].nbytes if kind in arenas else 0
+        for kind in (SamplerKind.REJECTION, SamplerKind.ALIAS)
+    }
+
+
+def assert_arenas_within_charge(framework):
+    """The arenas hold the assignment's formula bytes, which are the
+    charge for alias tables and exact-factor rejection state and at most
+    the charge for bounded rejection (the charge prices factors it never
+    stores)."""
+    held = arena_bytes(framework)
+    assert held == table_bytes(framework)
+    charged = charged_bytes(framework)
+    assert held[SamplerKind.ALIAS] == charged[SamplerKind.ALIAS]
+    if is_bounded(framework):
+        assert held[SamplerKind.REJECTION] <= charged[SamplerKind.REJECTION]
+    else:
+        assert held[SamplerKind.REJECTION] == charged[SamplerKind.REJECTION]
 
 
 def assert_engine_walks_sampler_arenas(engine, samplers):
@@ -100,7 +177,7 @@ class TestOneArenaPerKind:
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_framework_engine_walks_sampler_arenas(self, graph, model):
         framework = mixed_framework(graph, model)
-        samplers = samplers_of(framework, graph)
+        samplers = samplers_of(framework)
         assert set(arenas_by_kind(samplers)) == {
             SamplerKind.REJECTION,
             SamplerKind.ALIAS,
@@ -112,7 +189,7 @@ class TestOneArenaPerKind:
         framework = PartitionedFramework(
             graph, model, hash_partition(graph.num_nodes, 3), [2e4] * 3
         )
-        samplers = [framework._samplers[v] for v in range(graph.num_nodes)]
+        samplers = samplers_of(framework)
         assert set(arenas_by_kind(samplers)) == {
             SamplerKind.REJECTION,
             SamplerKind.ALIAS,
@@ -125,7 +202,7 @@ class TestOneArenaPerKind:
         framework = mixed_framework(graph, model)
         for budget in budgets:
             framework.set_budget(budget)
-            samplers = samplers_of(framework, graph)
+            samplers = samplers_of(framework)
             assert_engine_walks_sampler_arenas(framework.batch_engine(), samplers)
 
 
@@ -148,12 +225,7 @@ class TestCompaction:
         framework = MemoryAwareFramework(graph, model, 2e5, rng=0)
         for budget in (3e4, 1e4, 8e4):
             framework.set_budget(budget)
-            samplers = samplers_of(framework, graph)
-            expected = table_bytes(graph, model, framework.assignment.samplers)
-            arenas = arena_of_kind(samplers)
-            for kind in (SamplerKind.REJECTION, SamplerKind.ALIAS):
-                held = arenas[kind].nbytes if kind in arenas else 0
-                assert held == expected[kind], (budget, kind)
+            assert arena_bytes(framework) == table_bytes(framework), budget
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_compacted_tables_walk_like_fresh_ones(self, graph, model):
@@ -182,7 +254,7 @@ class TestCompaction:
         framework = MemoryAwareFramework(
             graph, Node2VecModel(0.25, 4), 2e4, physical_memory=6e4
         )
-        samplers = samplers_of(framework, graph)
+        samplers = samplers_of(framework)
         arenas = arena_of_kind(samplers)
         copies = {
             kind: (arena.prob.copy(), arena.alias.copy())
@@ -190,12 +262,121 @@ class TestCompaction:
         }
         with pytest.raises(SimulatedOOMError):
             framework.set_budget(1e6)
-        for sampler in samplers_of(framework, graph):
+        for sampler in samplers_of(framework):
             if sampler is not None and sampler.kind in copies:
                 assert sampler.arena is arenas[sampler.kind]
         for kind, (prob, alias) in copies.items():
             assert np.array_equal(arenas[kind].prob, prob)
             assert np.array_equal(arenas[kind].alias, alias)
+
+
+def _after_budgets(graph, model, budgets):
+    framework = MemoryAwareFramework(graph, model, budgets[0], rng=0)
+    for budget in budgets[1:]:
+        framework.set_budget(budget)
+    return framework
+
+
+#: Every framework path that builds sampler tables under a budget.
+PATHS = {
+    "lp": lambda graph, model: mixed_framework(graph, model, optimizer="lp"),
+    "deg-inc": lambda graph, model: mixed_framework(
+        graph, model, optimizer="deg-inc"
+    ),
+    "deg-dec": lambda graph, model: mixed_framework(
+        graph, model, optimizer="deg-dec"
+    ),
+    "all-alias": lambda graph, model: MemoryAwareFramework.memory_unaware(
+        graph, model, SamplerKind.ALIAS
+    ),
+    "all-rejection": lambda graph, model: MemoryAwareFramework.memory_unaware(
+        graph, model, SamplerKind.REJECTION
+    ),
+    "partitioned": lambda graph, model: PartitionedFramework(
+        graph, model, hash_partition(graph.num_nodes, 3), [2e4] * 3
+    ),
+    "set-budget-down": lambda graph, model: _after_budgets(
+        graph, model, (2e5, 2e4)
+    ),
+    "set-budget-up": lambda graph, model: _after_budgets(
+        graph, model, (2e4, 2e5)
+    ),
+}
+
+
+class TestBytesAgainstCharge:
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_arena_bytes_are_at_most_the_charge(self, graph, model, path):
+        framework = PATHS[path](graph, model)
+        assert_arenas_within_charge(framework)
+
+    @pytest.mark.parametrize(
+        "ratios", [(0.5, 0.3), (0.3, 0.5)], ids=["down", "up"]
+    )
+    def test_set_budget_peak_is_old_plus_new_arenas(self, ratios):
+        # The old arenas stay alive until the update commits, so the
+        # traced peak holds both.  The slack is one block pass of build
+        # temporaries (about 160 bytes an entry, measured) plus the
+        # update's per-node bookkeeping.
+        graph = barabasi_albert_graph(3_000, 10, rng=5)
+        model = Node2VecModel(0.25, 4.0)
+        full = sum(alias_memory(CostParams(), d) for d in graph.degrees.tolist())
+        slack = 192 * BLOCK_ENTRIES + 500 * graph.num_nodes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            framework = MemoryAwareFramework(graph, model, ratios[0] * full, rng=0)
+            gc.collect()
+            old = sum(arena_bytes(framework).values())
+            current = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            framework.set_budget(ratios[1] * full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        new = sum(arena_bytes(framework).values())
+        assert old != new
+        assert_arenas_within_charge(framework)
+        assert peak <= (current - old) + old + new + slack
+
+
+class TestFaithfulAtStoredWidths:
+    """Walks over float32/int32 arenas follow the exact e2e law."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return powerlaw_cluster_graph(25, 3, 0.5, rng=5)
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    @pytest.mark.parametrize("mix", ["all-alias", "mixed"])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_walks_follow_the_exact_law(self, small, model, mix, engine):
+        if mix == "all-alias":
+            framework = MemoryAwareFramework.memory_unaware(
+                small, model, SamplerKind.ALIAS, rng=0
+            )
+        else:
+            framework = MemoryAwareFramework(small, model, 4e3, rng=0)
+        arenas = arena_of_kind(samplers_of(framework))
+        expected = {SamplerKind.ALIAS}
+        if mix == "mixed":
+            expected.add(SamplerKind.REJECTION)
+        assert set(arenas) == expected
+        for arena in arenas.values():
+            assert arena.prob.dtype == TABLE_FLOAT
+            assert arena.alias.dtype == TABLE_INT
+            if arena.factors is not None:
+                assert arena.factors.dtype == TABLE_FLOAT
+        if engine == "batch":
+            corpus = framework.batch_engine().walks(num_walks=60, length=20, rng=1)
+        else:
+            corpus = WalkCorpus.from_walks(
+                framework.generate_walks(num_walks=60, length=20, rng=1)
+            )
+        diagnostics = diagnose_walks(small, model, corpus, min_samples=200)
+        assert diagnostics.contexts_checked > 0
+        assert diagnostics.is_faithful(max_noise_units=3.5)
 
 
 class TestHandAssembledSamplers:
@@ -205,7 +386,7 @@ class TestHandAssembledSamplers:
         # same corpus as over samplers built together.
         model = Node2VecModel(0.25, 4.0)
         framework = MemoryAwareFramework(graph, model, 1e12, rng=0)
-        together = samplers_of(framework, graph)
+        together = samplers_of(framework)
         alone = [
             build_node_sampler(s.kind, graph, model, s.node) for s in together
         ]
@@ -238,7 +419,5 @@ def test_framework_retains_arenas_plus_linear_bookkeeping():
     finally:
         tracemalloc.stop()
     (arena,) = engine.table_arenas().values()
-    assert arena.nbytes == table_bytes(graph, model, framework.assignment.samplers)[
-        SamplerKind.ALIAS
-    ]
+    assert arena.nbytes == table_bytes(framework)[SamplerKind.ALIAS]
     assert retained < arena.nbytes + 2_500 * graph.num_nodes
