@@ -63,37 +63,45 @@ def state_blocks(
 ) -> Iterator[StateBlock]:
     """Every edge state of ``nodes``, in order, cut into blocks.
 
-    Each state of ``nodes[i]`` costs ``widths[i]`` entries; a block holds
-    at most :data:`BLOCK_ENTRIES` of them unless one state alone is wider.
+    Each state of ``nodes[i]`` costs ``widths[i]`` entries; a block is
+    the longest run of the next states that costs at most
+    :data:`BLOCK_ENTRIES`, or the next state alone when it is wider.  One
+    ``searchsorted`` over the nodes' entry offsets finds each block's
+    end.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    degrees = graph.degrees[nodes]
-    segments: list[tuple[int, int, int]] = []
-    room = BLOCK_ENTRIES
-    for v, degree, width in zip(
-        nodes.tolist(), degrees.tolist(), np.asarray(widths).tolist()
-    ):
-        done = 0
-        while done < degree:
-            take = min(degree - done, max(room, 0) // width)
-            if take == 0:
-                if segments:
-                    yield _block(graph, segments)
-                    segments = []
-                    room = BLOCK_ENTRIES
-                    continue
-                take = 1
-            segments.append((v, done, take))
-            done += take
-            room -= take * width
-    if segments:
-        yield _block(graph, segments)
+    widths = np.asarray(widths, dtype=np.int64)
+    degrees = graph.degrees[nodes].astype(np.int64)
+    keep = degrees > 0
+    nodes, widths, degrees = nodes[keep], widths[keep], degrees[keep]
+    starts = np.cumsum(degrees * widths) - degrees * widths
+    i, done = 0, 0  # the next state: state ``done`` of ``nodes[i]``
+    while i < len(nodes):
+        limit = int(starts[i]) + done * int(widths[i]) + BLOCK_ENTRIES
+        last = int(np.searchsorted(starts, limit, side="right")) - 1
+        last = min(last, len(nodes) - 1)
+        room = (limit - int(starts[last])) // int(widths[last])
+        fits = min(int(degrees[last]), room)
+        counts = degrees[i : last + 1].copy()
+        counts[-1] = fits
+        counts[0] -= done
+        if last > i and fits == 0:
+            last -= 1
+            counts = counts[:-1]
+        if counts[0] == 0:  # one state wider than a block
+            counts[0] = 1
+        first = np.zeros(len(counts), dtype=np.int64)
+        first[0] = done
+        yield _block(graph, nodes[i : last + 1], first, counts)
+        done = int(first[-1] + counts[-1])
+        i = last
+        if done == degrees[last]:
+            i, done = last + 1, 0
 
 
-def _block(graph: CSRGraph, segments: list[tuple[int, int, int]]) -> StateBlock:
-    nodes, first, counts = (
-        np.array(column, dtype=np.int64) for column in zip(*segments)
-    )
+def _block(
+    graph: CSRGraph, nodes: np.ndarray, first: np.ndarray, counts: np.ndarray
+) -> StateBlock:
     positions = segment_positions(graph.indptr[nodes] + first, counts)
     return StateBlock(
         nodes=nodes,

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..exceptions import BoundingConstantError
 from ..graph import CSRGraph
+from ..graph.csr import segment_positions
 from ..models import SecondOrderModel
 from ..models.base import row_positions
 from ..sampling.utils import segment_sums
@@ -32,8 +33,13 @@ from .blocks import StateBlock, state_blocks
 
 
 def _bounding_from_ratios(ratios: np.ndarray, weights: np.ndarray) -> float:
-    """``C`` from target ratios and proposal weights over the same support."""
-    denom = float(np.dot(ratios, weights))
+    """``C`` from target ratios and proposal weights over the same support.
+
+    The denominator is ``(ratios * weights).sum()``, the sum
+    :func:`~repro.sampling.utils.segment_sums` reproduces bit for bit, so
+    the block pass (:func:`accumulate_constants`) matches this oracle.
+    """
+    denom = float((ratios * weights).sum())
     if denom <= 0:
         raise BoundingConstantError("target distribution has zero total mass")
     return float(ratios.max()) * float(weights.sum()) / denom
@@ -164,32 +170,18 @@ def accumulate_constants(
     ratios are taken over (``row_sizes`` each); ``candidates`` is passed
     to :meth:`~repro.models.SecondOrderModel.target_ratios_many`.  Every
     float op follows :func:`_bounding_from_ratios`: the max is exact in
-    any order, ``W`` is each row's ``sum()``, the dot is one ``np.dot``
-    per state (a ``reduceat`` or ``einsum`` sum is not BLAS order), and
-    ``np.add.at`` adds the states of a node in order, like the scalar
-    ``total +=``.
+    any order, ``W`` is each row's ``sum()``, the denominators are the
+    :func:`segment_sums` of each state's ratios times its node's row
+    (``ndarray.sum`` order), and ``np.add.at`` adds the states of a node
+    in order, like the scalar ``total +=``.
     """
     ratios, sizes = model.target_ratios_many(graph, block.us, block.vs, candidates)
     state_row = np.repeat(np.arange(len(block.nodes)), block.counts)
-    row_ends = np.cumsum(row_sizes)
-    row_starts = row_ends - row_sizes
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    denoms = np.fromiter(
-        (
-            np.dot(ratios[a:b], rows[c:e])
-            for a, b, c, e in zip(
-                starts.tolist(),
-                ends.tolist(),
-                row_starts[state_row].tolist(),
-                row_ends[state_row].tolist(),
-            )
-        ),
-        dtype=np.float64,
-        count=len(sizes),
-    )
+    row_starts = np.cumsum(row_sizes) - row_sizes
+    weights = rows[segment_positions(row_starts[state_row], sizes)]
+    denoms = segment_sums(ratios * weights, sizes)
     if np.any(denoms <= 0):
         raise BoundingConstantError("target distribution has zero total mass")
-    maxima = np.maximum.reduceat(ratios, starts)
+    maxima = np.maximum.reduceat(ratios, np.cumsum(sizes) - sizes)
     masses = segment_sums(rows, row_sizes)[state_row]
     np.add.at(totals, block.vs, maxima * masses / denoms)

@@ -16,6 +16,7 @@ from ..graph import CSRGraph
 from ..models import SecondOrderModel
 from ..optimizer import Assignment, lp_greedy
 from ..rng import RngLike, ensure_rng
+from ..sampling.alias import check_table_widths
 from ..walks.corpus import WalkCorpus
 from ..walks.parallel import run_chunked_walks
 
@@ -163,6 +164,7 @@ class PartitionedFramework:
         self.model = model
         self.partition = partition
         self.cost_params = cost_params or CostParams()
+        check_table_widths(self.cost_params)
         self._rng = ensure_rng(rng)
 
         if bounding_constants is None:

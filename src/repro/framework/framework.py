@@ -40,6 +40,7 @@ from ..resilience.degradation import (
     events_from_trace,
 )
 from ..rng import RngLike, ensure_rng
+from ..sampling.alias import check_table_widths
 from .interfaces import NodeSampler
 from .memory import MemoryMeter
 from .node_samplers import build_node_samplers
@@ -89,7 +90,9 @@ class MemoryAwareFramework:
         Memory budget in modeled bytes for the node-sampler assignment.
     cost_params:
         Cost-model instantiation; defaults to the paper's
-        (``b_f = b_i = 4``, binary-search neighbour checks).
+        (``b_f = b_i = 4``, binary-search neighbour checks).  Its byte
+        widths must be the stored table widths
+        (:func:`~repro.sampling.alias.check_table_widths`).
     optimizer:
         ``"lp"`` (Algorithm 2, supports dynamic budgets), ``"deg-inc"``
         or ``"deg-dec"``.
@@ -148,6 +151,7 @@ class MemoryAwareFramework:
         self.graph = graph
         self.model = model
         self.cost_params = cost_params or CostParams()
+        check_table_widths(self.cost_params)
         self.optimizer_name = optimizer
         self.oom_policy = oom_policy
         self.degradation_log: DegradationLog | None = None
@@ -324,13 +328,19 @@ class MemoryAwareFramework:
             new = self._adaptive.assignment
             started = time.perf_counter()
             changed = np.flatnonzero(old.samplers != new.samplers)
-            for v in changed.tolist():
-                if self._samplers[v] is not None:
-                    column = int(old.samplers[v])
-                    self.meter.release(
-                        self.cost_table.memory[v, column],
-                        what=self._charge_label(v, column),
-                    )
+            released = changed[
+                np.fromiter(
+                    (self._samplers[v] is not None for v in changed.tolist()),
+                    dtype=bool,
+                    count=len(changed),
+                )
+            ]
+            columns = old.samplers[released]
+            for amount, what in zip(
+                self.cost_table.memory[released, columns].tolist(),
+                self._charge_labels(released, columns),
+            ):
+                self.meter.release(amount, what=what)
             touched = set(old.samplers[changed].tolist())
             touched |= set(new.samplers[changed].tolist())
             kept = (old.samplers == new.samplers) & (self.graph.degrees > 0)
@@ -389,6 +399,7 @@ class MemoryAwareFramework:
         self.graph = graph
         self.model = model
         self.cost_params = cost_params or CostParams()
+        check_table_widths(self.cost_params)
         self.optimizer_name = f"all-{SamplerKind(kind).name.lower()}"
         self.oom_policy = oom_policy
         self.degradation_log = None
@@ -541,11 +552,11 @@ class MemoryAwareFramework:
         carry = carry or {}
         columns = np.asarray(columns, dtype=np.int64)
         active = self.graph.degrees[nodes] > 0
-        for v, column in zip(nodes[active].tolist(), columns[active].tolist()):
-            self.meter.charge(
-                self.cost_table.memory[v, column],
-                what=self._charge_label(v, column),
-            )
+        charged, kinds = nodes[active], columns[active]
+        self.meter.charge_many(
+            self.cost_table.memory[charged, kinds],
+            self._charge_labels(charged, kinds),
+        )
         samplers: list[NodeSampler | None] = [None] * len(nodes)
         moved: list[NodeSampler] = []
         for column in sorted(set(columns[active].tolist()) | set(carry)):
@@ -570,11 +581,11 @@ class MemoryAwareFramework:
                 samplers[i] = sampler
         return samplers, moved
 
-    def _charge_label(self, v: int, column: int) -> str:
-        """The meter label of node ``v``'s sampler in ``column``."""
-        label = (
-            SamplerKind(column).name.lower()
-            if column < len(SamplerKind)
-            else self.extra_samplers[column - len(SamplerKind)].name
-        )
-        return f"{label} sampler at node {v}"
+    def _charge_labels(self, nodes: np.ndarray, columns: np.ndarray) -> list[str]:
+        """The meter label of node ``nodes[i]``'s sampler in ``columns[i]``."""
+        names = [kind.name.lower() for kind in SamplerKind]
+        names += [spec.name for spec in self.extra_samplers]
+        return [
+            f"{names[column]} sampler at node {v}"
+            for v, column in zip(nodes.tolist(), columns.tolist())
+        ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,10 +87,10 @@ class MemoryMeter:
 
         The modeled-side twin of the MSan runtime trace: meter charges
         are priced by the cost model at the framework's ``CostParams``,
-        and the sampler tables are stored at the default widths, so under
-        the default parameters a table's charge is its real ``nbytes``
-        (bounded rejection stores less: see the cost-model invariants
-        section of ``docs/performance.md``).
+        whose byte widths a framework requires to be the stored table
+        widths, so a table's charge is its real ``nbytes`` (bounded
+        rejection stores less: see the cost-model invariants section of
+        ``docs/performance.md``).
         """
         return dict(self._ledger)
 
@@ -125,19 +125,42 @@ class MemoryMeter:
 
     def charge(self, amount: float, what: str = "") -> None:
         """Account ``amount`` modeled bytes; OOM when over physical memory."""
-        if amount < 0:
+        self.charge_many(np.array([amount], dtype=np.float64), [what])
+
+    def charge_many(self, amounts: np.ndarray, labels: Sequence[str]) -> None:
+        """Charge ``amounts[i]`` under ``labels[i]``, in order.
+
+        A negative amount raises :class:`BudgetError` before anything is
+        charged; an empty label leaves the ledger alone.  The running
+        total is an ``np.cumsum``, which adds in sequence, so it equals
+        the charges made one at a time bit for bit.  At the first charge
+        over physical memory the earlier ones stay charged and
+        :class:`SimulatedOOMError` names that charge's label, as charging
+        them one at a time would leave it.
+        """
+        amounts = np.asarray(amounts, dtype=np.float64)
+        if np.any(amounts < 0):
             raise BudgetError("cannot charge a negative amount")
-        prospective = self._used + amount
-        if self.physical_bytes is not None and prospective > self.physical_bytes:
+        if not len(amounts):
+            return
+        totals = np.cumsum(np.concatenate(([self._used], amounts)))[1:]
+        fits = len(totals)
+        if self.physical_bytes is not None:
+            over = totals > self.physical_bytes
+            if over.any():
+                fits = int(np.argmax(over))
+        if fits:
+            self._used = float(totals[fits - 1])
+            self._peak = max(self._peak, self._used)
+            for what, amount in zip(labels[:fits], amounts[:fits].tolist()):
+                if what:
+                    self._ledger[what] = self._ledger.get(what, 0.0) + amount
+        if fits < len(totals):
             raise SimulatedOOMError(
-                required_bytes=int(prospective),
+                required_bytes=int(totals[fits]),
                 available_bytes=int(self.physical_bytes),
-                what=what,
+                what=labels[fits],
             )
-        self._used = prospective
-        self._peak = max(self._peak, self._used)
-        if what:
-            self._ledger[what] = self._ledger.get(what, 0.0) + amount
 
     def release(self, amount: float, what: str = "") -> None:
         """Return ``amount`` bytes to the pool."""

@@ -19,10 +19,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from ..cost import CostTable
 from ..exceptions import InfeasibleBudgetError
-from .assignment import Assignment, TraceEntry, as_kind
-from .lp_greedy import build_schedule
+from .assignment import Assignment, Trace, TraceEntry
+from .lp_greedy import apply_columns, build_schedule, running_sums
 from .problem import AssignmentProblem
 
 
@@ -47,19 +49,26 @@ class AdaptiveOptimizer:
     Create it with the initial budget, then call :meth:`set_budget` as the
     available memory changes; :attr:`assignment` always reflects the
     current budget and never exceeds it.
+
+    The trace is the schedule's first ``cursor`` steps plus the footprint
+    after each (``_after[:cursor]``).  Both directions move the cursor in
+    one array pass: the footprints are running sums of the steps' bytes
+    (:func:`~repro.optimizer.lp_greedy.running_sums`), so ``used_memory``
+    and ``total_time`` equal a step-by-step ``+=``/``-=`` loop bit for
+    bit, across any sequence of increases and decreases.
     """
 
     def __init__(self, table: CostTable, budget: float) -> None:
         AssignmentProblem(table, budget)
         self._table = table
-        initial, steps = build_schedule(table)
-        self._steps = steps
+        initial, schedule = build_schedule(table)
+        self._schedule = schedule
         self._cursor = 0
+        self._after = np.empty(len(schedule), dtype=np.float64)
         self._samplers = initial.copy()
         self._used = table.assignment_memory(self._samplers)
         self._time = table.assignment_time(self._samplers)
         self._min_memory = self._used
-        self._trace: list[TraceEntry] = []
         self._budget = float(budget)
         self._apply_forward()
 
@@ -77,7 +86,7 @@ class AdaptiveOptimizer:
     @property
     def trace(self) -> list[TraceEntry]:
         """Applied greedy steps, oldest first (paper's assignment trace)."""
-        return list(self._trace)
+        return list(self._trace())
 
     @property
     def assignment(self) -> Assignment:
@@ -88,7 +97,7 @@ class AdaptiveOptimizer:
             total_time=self._time,
             budget=self._budget,
             algorithm="lp-greedy-adaptive",
-            trace=list(self._trace),
+            trace=self._trace(),
         )
         snapshot.validate_against(self._table)
         return snapshot
@@ -108,7 +117,7 @@ class AdaptiveOptimizer:
             return BudgetUpdate(old_budget, self._budget, applied, 0)
         # Decrease: pop greedy choices in reverse order until the footprint
         # satisfies the new budget (Section 5.3's "memory budget decrease").
-        reverted = self._revert_backward()
+        reverted = self._revert_to(self._budget)
         return BudgetUpdate(old_budget, self._budget, 0, reverted)
 
     @contextmanager
@@ -121,7 +130,7 @@ class AdaptiveOptimizer:
             self._samplers.copy(),
             self._used,
             self._time,
-            list(self._trace),
+            self._after[: self._cursor].copy(),
         )
         try:
             yield self
@@ -132,8 +141,9 @@ class AdaptiveOptimizer:
                 self._samplers,
                 self._used,
                 self._time,
-                self._trace,
+                after,
             ) = saved
+            self._after[: self._cursor] = after
             raise
 
     def shed_memory(self, limit: float) -> list[TraceEntry]:
@@ -146,47 +156,55 @@ class AdaptiveOptimizer:
         exceeds ``limit`` the trace is fully drained and the caller is
         expected to surface the residual pressure (e.g. as an OOM).
         """
-        popped: list[TraceEntry] = []
-        while self._used > limit and self._trace:
-            popped.append(self._trace.pop())
-            self._cursor -= 1
-            step = self._steps[self._cursor]
-            self._samplers[step.node] = step.from_col
-            self._used -= step.delta_memory
-            self._time -= step.delta_time
-        return popped
+        start = self._cursor
+        self._revert_to(limit)
+        popped = self._schedule.trace(self._cursor, self._after[self._cursor : start])
+        return list(popped)[::-1]
 
     # ------------------------------------------------------------------
-    def _apply_forward(self) -> int:
-        applied = 0
-        while self._cursor < len(self._steps):
-            step = self._steps[self._cursor]
-            if self._used + step.delta_memory > self._budget:
-                break  # same first-overflow stop as Algorithm 2
-            self._samplers[step.node] = step.to_col
-            self._used += step.delta_memory
-            self._time += step.delta_time
-            self._trace.append(
-                TraceEntry(
-                    node=step.node,
-                    previous=as_kind(step.from_col),
-                    chosen=as_kind(step.to_col),
-                    gradient=step.gradient,
-                    used_memory_after=self._used,
-                )
-            )
-            self._cursor += 1
-            applied += 1
-        return applied
+    def _trace(self) -> Trace:
+        return self._schedule.trace(0, self._after[: self._cursor].copy())
 
-    def _revert_backward(self) -> int:
-        reverted = 0
-        while self._used > self._budget and self._trace:
-            self._trace.pop()
-            self._cursor -= 1
-            step = self._steps[self._cursor]
-            self._samplers[step.node] = step.from_col
-            self._used -= step.delta_memory
-            self._time -= step.delta_time
-            reverted += 1
-        return reverted
+    def _apply_forward(self) -> int:
+        """Apply schedule steps up to the first overflow (Algorithm 2's stop)."""
+        schedule, start = self._schedule, self._cursor
+        after, overflow = running_sums(
+            self._used,
+            schedule.delta_memory[start:],
+            lambda sums: sums > self._budget,
+        )
+        if overflow:
+            after = after[:-1]
+        return self._move(start + len(after), after)
+
+    def _revert_to(self, limit: float) -> int:
+        """Pop applied steps, newest first, while the footprint exceeds
+        ``limit``."""
+        if self._used <= limit:
+            return 0
+        used, _ = running_sums(
+            self._used,
+            self._schedule.delta_memory[: self._cursor][::-1],
+            lambda sums: sums <= limit,
+            subtract=True,
+        )
+        return self._move(self._cursor - len(used), used)
+
+    def _move(self, cursor: int, used: np.ndarray) -> int:
+        """Apply or pop the steps between the cursor and ``cursor``;
+        ``used`` is the footprint after each, in the order taken."""
+        schedule, start = self._schedule, self._cursor
+        if cursor > start:
+            taken = slice(start, cursor)
+            columns, times = schedule.to_col[taken], schedule.delta_time[taken]
+            self._after[taken] = used
+        elif cursor < start:
+            taken = slice(start - 1, cursor - 1 if cursor else None, -1)
+            columns, times = schedule.from_col[taken], -schedule.delta_time[taken]
+        else:
+            return 0
+        apply_columns(self._samplers, schedule.node[taken], columns)
+        self._time = float(np.cumsum(np.concatenate(([self._time], times)))[-1])
+        self._used = float(used[-1])
+        self._cursor = cursor
+        return len(used)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence, overload
 
 import numpy as np
 
@@ -50,6 +51,55 @@ class TraceEntry:
         )
 
 
+class Trace(Sequence[TraceEntry]):
+    """A greedy trace held as columns, one entry per applied step.
+
+    The optimizer keeps its trace as arrays (one slice of its schedule
+    plus the running footprints); each :class:`TraceEntry` is built only
+    when it is read, so a trace of many thousands of steps costs no
+    per-step objects until someone looks at it.
+    """
+
+    def __init__(
+        self,
+        node: np.ndarray,
+        previous: np.ndarray,
+        chosen: np.ndarray,
+        gradient: np.ndarray,
+        used_memory_after: np.ndarray,
+    ) -> None:
+        self._columns = (node, previous, chosen, gradient, used_memory_after)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    @overload
+    def __getitem__(self, index: int) -> TraceEntry: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "Trace": ...
+
+    def __getitem__(self, index: "int | slice") -> "TraceEntry | Trace":
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in self._columns))
+        node, previous, chosen, gradient, used = (
+            column[range(len(self))[index]] for column in self._columns
+        )
+        return TraceEntry(
+            node=int(node),
+            previous=as_kind(previous),
+            chosen=as_kind(chosen),
+            gradient=float(gradient),
+            used_memory_after=float(used),
+        )
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        for node, previous, chosen, gradient, used in zip(
+            *(column.tolist() for column in self._columns)
+        ):
+            yield TraceEntry(node, as_kind(previous), as_kind(chosen), gradient, used)
+
+
 @dataclass
 class Assignment:
     """A per-node sampler assignment together with its modeled costs."""
@@ -59,7 +109,7 @@ class Assignment:
     total_time: float
     budget: float
     algorithm: str = ""
-    trace: list[TraceEntry] = field(default_factory=list)
+    trace: Sequence[TraceEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.samplers = np.asarray(self.samplers, dtype=np.int8)

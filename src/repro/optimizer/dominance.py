@@ -64,6 +64,53 @@ def eliminate_dominated(
     return hull
 
 
+def chain_table(table: CostTable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eliminate_dominated` for every node of a cost table at once.
+
+    Returns ``(chains, lengths)``: row ``i`` of the ``(n, k)`` matrix
+    ``chains`` starts with node ``i``'s undominated columns in increasing
+    memory order, ``lengths[i]`` of them.  The passes mirror the scalar
+    sweep on every row together: a stable ``lexsort`` on ``(M, T)`` with
+    unavailable cells last, P-domination against the running time
+    minimum, and the LP hull as one stack per row, grown over the ``k``
+    sorted positions, whose pops use the same float expressions as the
+    scalar test.
+    """
+    memory, time, available = table.memory, table.time, table.available
+    n, k = memory.shape
+    order = np.lexsort((time, memory, ~available), axis=-1)
+    usable = np.take_along_axis(available, order, axis=1)
+    times = np.where(usable, np.take_along_axis(time, order, axis=1), np.inf)
+    best = np.minimum.accumulate(times, axis=1)
+    prior = np.concatenate((np.full((n, 1), np.inf), best[:, :-1]), axis=1)
+    kept = usable & (times < prior)
+
+    chains = np.zeros((n, k), dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
+    for position in range(k):
+        active = np.flatnonzero(kept[:, position])
+        j = order[active, position]
+        while True:
+            deep = lengths[active] >= 2
+            i, new = active[deep], j[deep]
+            if not len(i):
+                break
+            r = chains[i, lengths[i] - 2]
+            s = chains[i, lengths[i] - 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grad_rs = (time[i, s] - time[i, r]) / (memory[i, s] - memory[i, r])
+                grad_st = (time[i, new] - time[i, s]) / (
+                    memory[i, new] - memory[i, s]
+                )
+            popped = i[grad_rs > grad_st]  # Property 2, strict
+            if not len(popped):
+                break
+            lengths[popped] -= 1
+        chains[active, lengths[active]] = j
+        lengths[active] += 1
+    return chains, lengths
+
+
 def node_chains(table: CostTable) -> list[list[int]]:
     """Undominated sampler chains for every node of a cost table.
 
@@ -71,7 +118,5 @@ def node_chains(table: CostTable) -> list[list[int]]:
     the first entry is the initial (cheapest-memory) choice of Algorithm 2
     and consecutive pairs define the gradient steps.
     """
-    return [
-        eliminate_dominated(table.memory[i], table.time[i], table.available[i])
-        for i in range(table.num_nodes)
-    ]
+    chains, lengths = chain_table(table)
+    return [row[:size] for row, size in zip(chains.tolist(), lengths.tolist())]

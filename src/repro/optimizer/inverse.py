@@ -10,10 +10,12 @@ required, and the result inherits the greedy's near-optimality.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..cost import CostTable
 from ..exceptions import OptimizerError
-from .assignment import Assignment, TraceEntry, as_kind
-from .lp_greedy import build_schedule
+from .assignment import Assignment
+from .lp_greedy import apply_columns, build_schedule
 
 
 def min_memory_for_time(table: CostTable, target_time: float) -> Assignment:
@@ -25,46 +27,27 @@ def min_memory_for_time(table: CostTable, target_time: float) -> Assignment:
     :class:`OptimizerError` when even the saturated assignment misses the
     target.
     """
-    initial, steps = build_schedule(table)
+    initial, schedule = build_schedule(table)
     samplers = initial.copy()
-    used = table.assignment_memory(samplers)
-    total_time = table.assignment_time(samplers)
-    trace: list[TraceEntry] = []
-
-    if total_time <= target_time:
-        return Assignment(
-            samplers=samplers,
-            used_memory=used,
-            total_time=total_time,
-            budget=used,
-            algorithm="inverse-lp-greedy",
-            trace=trace,
+    used = np.cumsum(
+        np.concatenate(([table.assignment_memory(samplers)], schedule.delta_memory))
+    )
+    times = np.cumsum(
+        np.concatenate(([table.assignment_time(samplers)], schedule.delta_time))
+    )
+    met = times <= target_time
+    if not met.any():
+        raise OptimizerError(
+            f"target time {target_time:.3g} is below the fully saturated "
+            f"assignment's cost {times[-1]:.3g}"
         )
-
-    for step in steps:
-        samplers[step.node] = step.to_col
-        used += step.delta_memory
-        total_time += step.delta_time
-        trace.append(
-            TraceEntry(
-                node=step.node,
-                previous=as_kind(step.from_col),
-                chosen=as_kind(step.to_col),
-                gradient=step.gradient,
-                used_memory_after=used,
-            )
-        )
-        if total_time <= target_time:
-            return Assignment(
-                samplers=samplers,
-                used_memory=used,
-                total_time=total_time,
-                budget=used,
-                algorithm="inverse-lp-greedy",
-                trace=trace,
-            )
-
-    raise OptimizerError(
-        f"target time {target_time:.3g} is below the fully saturated "
-        f"assignment's cost {total_time:.3g}"
+    applied = int(np.argmax(met))
+    apply_columns(samplers, schedule.node[:applied], schedule.to_col[:applied])
+    return Assignment(
+        samplers=samplers,
+        used_memory=float(used[applied]),
+        total_time=float(times[applied]),
+        budget=float(used[applied]),
+        algorithm="inverse-lp-greedy",
+        trace=schedule.trace(0, used[1 : applied + 1]),
     )

@@ -19,13 +19,14 @@ Theorem 4 bounds the gap to the exact MCKP optimum by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..cost import CostTable
 from ..exceptions import OptimizerError
-from .assignment import Assignment, TraceEntry, as_kind
-from .dominance import node_chains
+from .assignment import Assignment, Trace, TraceEntry
+from .dominance import chain_table
 from .problem import AssignmentProblem
 
 
@@ -41,42 +42,121 @@ class GradientStep:
     delta_time: float
 
 
-def build_schedule(table: CostTable) -> tuple[np.ndarray, list[GradientStep]]:
+@dataclass(frozen=True)
+class Schedule:
+    """Every chain upgrade in greedy order, held as parallel columns.
+
+    Step ``t`` moves ``node[t]`` from column ``from_col[t]`` to
+    ``to_col[t]``, costing ``delta_memory[t]`` bytes and saving
+    ``-delta_time[t]``; ``gradient`` is their ratio.  Indexing or
+    iterating yields :class:`GradientStep` views.
+    """
+
+    node: np.ndarray
+    from_col: np.ndarray
+    to_col: np.ndarray
+    gradient: np.ndarray
+    delta_memory: np.ndarray
+    delta_time: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __getitem__(self, t: int) -> GradientStep:
+        t = range(len(self))[t]
+        return GradientStep(
+            gradient=float(self.gradient[t]),
+            node=int(self.node[t]),
+            from_col=int(self.from_col[t]),
+            to_col=int(self.to_col[t]),
+            delta_memory=float(self.delta_memory[t]),
+            delta_time=float(self.delta_time[t]),
+        )
+
+    def __iter__(self) -> Iterator[GradientStep]:
+        return (self[t] for t in range(len(self)))
+
+    def trace(self, start: int, used_after: np.ndarray) -> Trace:
+        """The trace of steps ``start .. start + len(used_after) - 1``,
+        with ``used_after`` the footprint after each."""
+        steps = slice(start, start + len(used_after))
+        return Trace(
+            self.node[steps],
+            self.from_col[steps],
+            self.to_col[steps],
+            self.gradient[steps],
+            used_after,
+        )
+
+
+def build_schedule(table: CostTable) -> tuple[np.ndarray, Schedule]:
     """Initial columns and the globally sorted upgrade schedule.
 
-    Returns ``(initial, steps)`` where ``initial[i]`` is node ``i``'s
-    cheapest-memory undominated sampler and ``steps`` holds every chain
-    upgrade sorted by ascending gradient.  The sort is stable, so a node's
-    own steps keep their chain order even under gradient ties — a property
-    the applier relies on.
+    Returns ``(initial, schedule)`` where ``initial[i]`` is node ``i``'s
+    cheapest-memory undominated sampler and ``schedule`` holds every chain
+    upgrade sorted by ascending gradient.  The steps are laid out node by
+    node in chain order and sorted stably, so a node's own steps keep
+    their chain order even under gradient ties — a property the applier
+    relies on.
     """
-    chains = node_chains(table)
-    initial = np.empty(table.num_nodes, dtype=np.int8)
-    steps: list[GradientStep] = []
-    for i, chain in enumerate(chains):
-        if not chain:
-            raise OptimizerError(f"node {i} has no available sampler")
-        initial[i] = chain[0]
-        for j, k in zip(chain, chain[1:]):
-            delta_m = table.memory[i, k] - table.memory[i, j]
-            delta_t = table.time[i, k] - table.time[i, j]
-            if delta_m <= 0:
-                raise OptimizerError(
-                    f"non-increasing memory on chain of node {i}: "
-                    f"{table.memory[i, j]} -> {table.memory[i, k]}"
-                )
-            steps.append(
-                GradientStep(
-                    gradient=delta_t / delta_m,
-                    node=i,
-                    from_col=j,
-                    to_col=k,
-                    delta_memory=delta_m,
-                    delta_time=delta_t,
-                )
-            )
-    steps.sort(key=lambda s: s.gradient)  # Timsort is stable
-    return initial, steps
+    chains, lengths = chain_table(table)
+    if (lengths == 0).any():
+        i = int(np.argmin(lengths))
+        raise OptimizerError(f"node {i} has no available sampler")
+    node, link = np.nonzero(np.arange(chains.shape[1] - 1) < (lengths - 1)[:, None])
+    from_col = chains[node, link]
+    to_col = chains[node, link + 1]
+    delta_m = table.memory[node, to_col] - table.memory[node, from_col]
+    delta_t = table.time[node, to_col] - table.time[node, from_col]
+    if (delta_m <= 0).any():
+        t = int(np.argmax(delta_m <= 0))
+        i = int(node[t])
+        raise OptimizerError(
+            f"non-increasing memory on chain of node {i}: "
+            f"{table.memory[i, from_col[t]]} -> {table.memory[i, to_col[t]]}"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gradient = delta_t / delta_m
+    order = np.argsort(gradient, kind="stable")
+    schedule = Schedule(
+        node=node[order],
+        from_col=from_col[order],
+        to_col=to_col[order],
+        gradient=gradient[order],
+        delta_memory=delta_m[order],
+        delta_time=delta_t[order],
+    )
+    return chains[:, 0].astype(np.int8), schedule
+
+
+def running_sums(
+    start: float,
+    deltas: np.ndarray,
+    stop: Callable[[np.ndarray], np.ndarray],
+    *,
+    subtract: bool = False,
+) -> tuple[np.ndarray, bool]:
+    """``start + deltas[0]``, ``+ deltas[1]``, ... (``-`` when
+    ``subtract``) through the first sum ``stop`` flags; returns the sums
+    and whether one was flagged.
+
+    ``np.cumsum`` adds in sequence, and ``x - d`` is ``x + (-d)`` in IEEE
+    arithmetic, so each sum equals that many ``+=``/``-=`` steps bit for
+    bit.
+    """
+    sums = np.cumsum(np.concatenate(([start], -deltas if subtract else deltas)))[1:]
+    flagged = stop(sums)
+    if flagged.any():
+        return sums[: int(np.argmax(flagged)) + 1], True
+    return sums, False
+
+
+def apply_columns(samplers: np.ndarray, nodes: np.ndarray, columns: np.ndarray) -> None:
+    """``samplers[nodes[t]] = columns[t]`` for every ``t`` in order: the
+    last write to a node wins."""
+    _, last = np.unique(nodes[::-1], return_index=True)
+    last = len(nodes) - 1 - last
+    samplers[nodes[last]] = columns[last]
 
 
 def lp_greedy(
@@ -87,36 +167,28 @@ def lp_greedy(
 ) -> Assignment:
     """Run Algorithm 2 and return the assignment with its greedy trace."""
     problem = AssignmentProblem(table, budget)  # validates feasibility
-    initial, steps = build_schedule(table)
+    initial, schedule = build_schedule(table)
 
     samplers = initial.copy()
     used = table.assignment_memory(samplers)
-    total_time = table.assignment_time(samplers)
-    trace: list[TraceEntry] = []
-
-    for step in steps:
-        if used + step.delta_memory > budget:
-            break  # Algorithm 2 line 13: stop at the first overflow
-        samplers[step.node] = step.to_col
-        used += step.delta_memory
-        total_time += step.delta_time
-        trace.append(
-            TraceEntry(
-                node=step.node,
-                previous=as_kind(step.from_col),
-                chosen=as_kind(step.to_col),
-                gradient=step.gradient,
-                used_memory_after=used,
-            )
-        )
+    # Algorithm 2 line 13: stop at the first overflow.
+    after, overflow = running_sums(
+        used, schedule.delta_memory, lambda sums: sums > budget
+    )
+    if overflow:
+        after = after[:-1]
+    applied = len(after)
+    apply_columns(samplers, schedule.node[:applied], schedule.to_col[:applied])
+    start_time = table.assignment_time(initial)
+    times = np.cumsum(np.concatenate(([start_time], schedule.delta_time[:applied])))
 
     assignment = Assignment(
         samplers=samplers,
-        used_memory=used,
-        total_time=total_time,
+        used_memory=float(after[-1]) if applied else used,
+        total_time=float(times[-1]),
         budget=float(budget),
         algorithm=algorithm_name,
-        trace=trace,
+        trace=schedule.trace(0, after),
     )
     assignment.validate_against(problem.table)
     return assignment
@@ -157,17 +229,18 @@ def lmckp_lower_bound(table: CostTable, budget: float) -> float:
     ``lower_bound ≤ OPT ≤ lp_greedy`` without solving the NP-hard problem.
     """
     AssignmentProblem(table, budget)
-    initial, steps = build_schedule(table)
-    used = table.assignment_memory(initial)
-    value = table.assignment_time(initial)
-    for step in steps:
-        remaining = budget - used
-        if step.delta_memory <= remaining:
-            used += step.delta_memory
-            value += step.delta_time
-        else:
-            if remaining > 0:
-                fraction = remaining / step.delta_memory
-                value += fraction * step.delta_time
-            break
-    return value
+    initial, schedule = build_schedule(table)
+    used = np.cumsum(
+        np.concatenate(([table.assignment_memory(initial)], schedule.delta_memory))
+    )
+    value = np.cumsum(
+        np.concatenate(([table.assignment_time(initial)], schedule.delta_time))
+    )
+    # Step t fits while its bytes are within what is left before it.
+    fits = schedule.delta_memory <= budget - used[:-1]
+    t = len(fits) if fits.all() else int(np.argmin(fits))
+    remaining = budget - used[t]
+    if t < len(fits) and remaining > 0:
+        fraction = remaining / schedule.delta_memory[t]
+        return float(value[t] + fraction * schedule.delta_time[t])
+    return float(value[t])

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from typing import TYPE_CHECKING
+
 from ..constants import DEFAULT_FLOAT_BYTES, DEFAULT_INT_BYTES
+from ..exceptions import CostModelError
+
+if TYPE_CHECKING:
+    from ..cost import CostParams
 from ..rng import RngLike, ensure_rng
 from .base import DiscreteSampler
 from .utils import normalize_distribution, validate_segments
@@ -33,6 +39,25 @@ def _msan_trace(structure: str, nbytes: int, **dims: float) -> None:
 TABLE_FLOAT = np.dtype(f"f{DEFAULT_FLOAT_BYTES}")
 #: dtype of stored alias entries (``b_i`` bytes).
 TABLE_INT = np.dtype(f"i{DEFAULT_INT_BYTES}")
+
+
+def check_table_widths(params: "CostParams") -> None:
+    """Raise :class:`CostModelError` unless ``params`` prices a table slot
+    at the widths every sampler table is stored at, the itemsizes of
+    :data:`TABLE_FLOAT` and :data:`TABLE_INT`.
+
+    A framework's meter charges what its cost table prices, so other
+    widths would charge bytes the tables do not hold.  Analytic
+    projections at other widths call :func:`~repro.cost.build_cost_table`
+    directly; it accepts any widths.
+    """
+    stored = (TABLE_FLOAT.itemsize, TABLE_INT.itemsize)
+    if (params.float_bytes, params.int_bytes) != stored:
+        raise CostModelError(
+            f"cost_params price tables at b_f={params.float_bytes}, "
+            f"b_i={params.int_bytes} bytes, but sampler tables are stored at "
+            f"b_f={stored[0]}, b_i={stored[1]}"
+        )
 
 
 class AliasTable(DiscreteSampler):

@@ -45,9 +45,14 @@ def segment_sums(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     sums = np.zeros(len(sizes), dtype=np.float64)
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        rows = np.flatnonzero(sizes == size)
-        sums[rows] = flat[starts[rows, None] + np.arange(size)].sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    bounds = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(order)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = int(ordered[lo]) if hi > lo else 0
+        if size:
+            rows = order[lo:hi]
+            sums[rows] = flat[starts[rows, None] + np.arange(size)].sum(axis=1)
     return sums
 
 

@@ -231,7 +231,7 @@ class BatchWalkEngine:
             raise WalkError("start node out of range")
         walkers = np.repeat(starts, num_walks)
         trails = self._run(walkers, length, gen)
-        corpus = _corpus_from_trails(trails)
+        corpus = WalkCorpus(walks=split_trails(trails))
         corpus.metadata.update(self.stats())
         return corpus
 
@@ -248,7 +248,7 @@ class BatchWalkEngine:
         gen = ensure_rng(rng)
         walkers = np.repeat(np.asarray(nodes, dtype=np.int64), num_walks)
         trails = self._run(walkers, length, gen)
-        return [_trim_trail(row) for row in trails]
+        return split_trails(trails)
 
     def stats(self) -> dict:
         """Engine tag, kernel backend and :meth:`counters` (observability
@@ -830,16 +830,22 @@ def batch_second_order_pagerank(
     return scores
 
 
-def _trim_trail(row: np.ndarray) -> np.ndarray:
-    """Cut the ``-1`` padding of a dead-ended trail (copying the slice so
-    the full trails matrix is not pinned in memory by corpus references)."""
-    negative = row < 0
-    stop = int(np.argmax(negative)) if negative.any() else len(row)
-    return row[: stop if stop > 0 else len(row)].copy()
+def split_trails(trails: np.ndarray) -> list[np.ndarray]:
+    """One walk per row of ``trails``, cut at the row's first ``-1`` (the
+    padding after a dead end; a row that starts with ``-1`` is kept
+    whole).
 
-
-def _corpus_from_trails(trails: np.ndarray) -> WalkCorpus:
-    corpus = WalkCorpus()
-    for row in trails:
-        corpus.add(_trim_trail(row))
-    return corpus
+    When no walk dead-ends the walks are the rows themselves, as views.
+    Otherwise the kept entries are gathered in one pass into a buffer
+    without padding, and the walks are views of that buffer, so no
+    walk pins the padded matrix.
+    """
+    padding = trails < 0
+    if not padding.any():
+        return list(trails)
+    width = trails.shape[1]
+    stops = padding.argmax(axis=1)
+    lengths = np.where(stops > 0, stops, width)
+    walks = trails[np.arange(width) < lengths[:, None]]
+    ends = np.cumsum(lengths).tolist()
+    return [walks[a:b] for a, b in zip([0, *ends[:-1]], ends)]

@@ -70,7 +70,7 @@ from ..graph.sharded import (
 from ..hotpath import kernel_scope
 from ..models import SecondOrderModel
 from ..rng import RngLike, ensure_rng
-from .batch import _trim_trail
+from .batch import split_trails
 from .corpus import WalkCorpus
 from .kernels import KernelBackend, resolve_backend
 
@@ -499,7 +499,7 @@ class BucketedWalkScheduler:
             trails = np.full((len(walkers), length + 1), -1, dtype=np.int64)
             if len(walkers):
                 trails[:, 0] = walkers
-            return [_trim_trail(row) for row in trails]
+            return split_trails(trails)
         with kernel_scope("walker_streams"):
             seeds = gen.integers(0, 2**63 - 1, size=len(walkers))
         state = _ChunkState(
@@ -509,7 +509,7 @@ class BucketedWalkScheduler:
             self._run_bucketed(state)
         else:
             self._run_lockstep(state)
-        return [_trim_trail(row) for row in state.trails]
+        return split_trails(state.trails)
 
     def walks(
         self,

@@ -24,7 +24,8 @@ from repro.exceptions import SamplerError, WalkError
 from repro.framework import binary_cdf_spec
 from repro.framework.node_samplers import NaiveNodeSampler, build_node_samplers
 from repro.graph import CSRGraph, from_edges, powerlaw_cluster_graph
-from repro.walks import BatchWalkEngine, parallel_walks
+from repro.walks import BatchWalkEngine, BucketedWalkScheduler, parallel_walks
+from repro.walks.batch import split_trails
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import resolve_backend
 
@@ -458,6 +459,78 @@ class TestCarriedEdges:
         dispatch = engine.stats()["dispatch"]
         assert all(dispatch[kind]["walkers"] > 0 for kind in dispatch)
         assert corpus_sha(corpus) == self.PINNED[name]
+
+
+# ----------------------------------------------------------------------
+# corpus assembly from trails
+# ----------------------------------------------------------------------
+def _trim_row(row: np.ndarray) -> np.ndarray:
+    """Reference: one row cut at its first ``-1`` (kept whole when the
+    ``-1`` is its first entry), the per-row trim ``split_trails``
+    replaces."""
+    negative = row < 0
+    stop = int(np.argmax(negative)) if negative.any() else len(row)
+    return row[: stop if stop > 0 else len(row)].copy()
+
+
+class TestSplitTrails:
+    @pytest.mark.parametrize("shape", [(0, 5), (6, 1), (40, 9)])
+    @pytest.mark.parametrize("dead", [0.0, 0.3, 1.0])
+    def test_equals_per_row_trim(self, shape, dead):
+        rng = np.random.default_rng(int(dead * 10) + shape[0])
+        trails = rng.integers(0, 50, size=shape)
+        stops = rng.integers(0, shape[1] + 1, size=shape[0])
+        cut = rng.random(shape[0]) < dead
+        trails[cut[:, None] & (np.arange(shape[1]) >= stops[:, None])] = -1
+        walks = split_trails(trails)
+        assert len(walks) == shape[0]
+        for walk, row in zip(walks, trails):
+            assert walk.dtype == np.int64
+            assert np.array_equal(walk, _trim_row(row))
+
+    def test_walks_do_not_pin_padding(self):
+        trails = np.arange(12, dtype=np.int64).reshape(3, 4)
+        # No dead end: the rows themselves, no copy.
+        assert all(np.shares_memory(walk, trails) for walk in split_trails(trails))
+        # A dead end: the walks share one buffer of their 4 + 2 + 4 nodes.
+        trails[1, 2:] = -1
+        walks = split_trails(trails)
+        assert not any(np.shares_memory(walk, trails) for walk in walks)
+        assert {id(walk.base) for walk in walks} == {id(walks[0].base)}
+        assert walks[0].base.size == 10
+
+    #: Corpus hashes of the per-row trim (before ``split_trails``) on a
+    #: directed graph with sinks: walks of every length from 1 to 9.
+    SINK_PINS = {
+        "walks": "d811a1fbc6f1455b229480c6471de6ec4ceefbbf9950f9f04998daa07a9cd2b8",
+        "walk_chunk": "1a1ea8c2750d3b9bce89c503a88a9cb99e5ad4720e6c2e786b8700729e6d16e0",
+        "scheduler": "c48964bac661bb962ee2d1374fd10b1b43f62290c70c70c9baf24122ec032c0b",
+    }
+
+    @pytest.fixture(scope="class")
+    def sink_framework(self):
+        rng = np.random.default_rng(21)
+        pairs = rng.integers(0, 50, size=(300, 2))
+        pairs = pairs[(pairs[:, 0] != pairs[:, 1]) & (pairs[:, 0] % 13 != 3)]
+        graph = from_edges(pairs, num_nodes=50, undirected=False)
+        assert (graph.degrees == 0).sum() == 4
+        return MemoryAwareFramework(graph, Node2VecModel(0.5, 2.0), budget=4_000, rng=0)
+
+    def test_batch_engine_hashes_hold_on_sinks(self, sink_framework):
+        engine = sink_framework.batch_engine()
+        corpus = engine.walks(num_walks=3, length=8, rng=4)
+        assert {len(walk) for walk in corpus} >= {2, 9}
+        assert corpus_sha(corpus) == self.SINK_PINS["walks"]
+        chunk = engine.walk_chunk(list(range(50)), num_walks=2, length=8, rng=5)
+        assert corpus_sha(chunk) == self.SINK_PINS["walk_chunk"]
+
+    @pytest.mark.parametrize("policy", ["bucketed", "lockstep"])
+    def test_scheduler_hash_holds_on_sinks(self, sink_framework, policy):
+        scheduler = BucketedWalkScheduler(
+            sink_framework.graph, sink_framework.model, num_shards=3, policy=policy
+        )
+        walks = scheduler.walk_chunk(list(range(50)), num_walks=2, length=8, rng=6)
+        assert corpus_sha(walks) == self.SINK_PINS["scheduler"]
 
 
 # ----------------------------------------------------------------------

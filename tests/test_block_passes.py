@@ -28,7 +28,11 @@ from repro import (
     estimate_bounding_constants,
 )
 from repro.analysis.msan import msan_trace, verify_records
-from repro.bounding import edge_max_ratio, node_bounding_constant
+from repro.bounding import (
+    edge_bounding_constant,
+    edge_max_ratio,
+    node_bounding_constant,
+)
 from repro.bounding.estimate import estimate_node_bounding_constant
 from repro.exceptions import DistributionError
 from repro.framework import (
@@ -221,6 +225,117 @@ class TestBoundingBlocks:
         finally:
             blocks.BLOCK_ENTRIES = saved
         assert np.array_equal(values, reference)
+
+
+def _reference_blocks(graph, nodes, widths):
+    """The per-node packing loop ``state_blocks`` replaces, as
+    ``(node, first, count)`` segments per block."""
+    out, segments, room = [], [], blocks.BLOCK_ENTRIES
+    for v, degree, width in zip(
+        nodes.tolist(), graph.degrees[nodes].tolist(), widths.tolist()
+    ):
+        done = 0
+        while done < degree:
+            take = min(degree - done, max(room, 0) // width)
+            if take == 0:
+                if segments:
+                    out.append(segments)
+                    segments, room = [], blocks.BLOCK_ENTRIES
+                    continue
+                take = 1
+            segments.append((v, done, take))
+            done += take
+            room -= take * width
+    return out + [segments] if segments else out
+
+
+class TestSegmentPasses:
+    @SETTINGS
+    @given(
+        sizes=st.lists(st.integers(0, 40), max_size=60),
+        seed=st.integers(0, 10_000),
+    )
+    def test_segment_sums_equal_ndarray_sum(self, sizes, seed):
+        flat = np.random.default_rng(seed).random(sum(sizes)) * 1e3
+        expected = [segment.sum() for segment in _segments(flat, sizes)]
+        assert np.array_equal(sampling_utils.segment_sums(flat, sizes), expected)
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 10_000),
+        entries=st.integers(1, 300),
+        isolated=st.integers(0, 4),
+    )
+    def test_state_blocks_equal_packing_loop(self, seed, entries, isolated):
+        base = _graph("unit", seed=seed % 50)
+        # Isolated nodes (width 0) contribute no states.
+        graph = CSRGraph(
+            np.concatenate([base.indptr, np.full(isolated, base.indptr[-1])]),
+            base.indices,
+        )
+        rng = np.random.default_rng(seed)
+        nodes = np.sort(rng.choice(graph.num_nodes, size=rng.integers(1, 60), replace=False))
+        widths = np.minimum(graph.degrees[nodes], rng.integers(1, 30, size=len(nodes)))
+        saved = blocks.BLOCK_ENTRIES
+        blocks.BLOCK_ENTRIES = entries
+        try:
+            got = [
+                list(zip(b.nodes.tolist(), b.first.tolist(), b.counts.tolist()))
+                for b in blocks.state_blocks(graph, nodes, widths)
+            ]
+            assert got == _reference_blocks(graph, nodes, widths)
+        finally:
+            blocks.BLOCK_ENTRIES = saved
+
+
+class TestBoundingDefinition:
+    """The denominator ``Σ r_z w_vz`` is ``(ratios * weights).sum()`` in
+    the scalar oracle and its :func:`segment_sums` in the block pass."""
+
+    @pytest.mark.parametrize("kind", ["weighted", "directed"])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_edge_oracle_equals_block_pass(self, kind, model, block_entries):
+        # Per state, not per node: no averaging hides a last-bit change.
+        graph = _graph(kind, seed=13)
+        totals = np.zeros(graph.num_nodes)
+        for v in np.flatnonzero(graph.degrees).tolist():
+            for u in graph.neighbors(v).tolist():
+                totals[v] += edge_bounding_constant(graph, model, u, v)
+        nodes = np.flatnonzero(graph.degrees)
+        expected = np.ones(graph.num_nodes)
+        expected[nodes] = totals[nodes] / graph.degrees[nodes]
+        assert np.array_equal(compute_bounding_constants(graph, model).values, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("a,b", [(0.25, 4.0), (0.5, 2.0), (1.0, 1.0)])
+    def test_unit_node2vec_keeps_dot_product_values(self, seed, a, b):
+        # On unit weights with power-of-two a and b every ratio and every
+        # partial sum is exact, so the old per-state np.dot denominators
+        # and the new sums give the same C_v.
+        graph = barabasi_albert_graph(300, 4, rng=seed)
+        model = Node2VecModel(a, b)
+        expected = np.ones(graph.num_nodes)
+        for v in np.flatnonzero(graph.degrees).tolist():
+            weights = graph.neighbor_weights(v)
+            total = 0.0
+            for u in graph.neighbors(v).tolist():
+                ratios = model.target_ratios(graph, u, v)
+                denom = float(np.dot(ratios, weights))
+                total += float(ratios.max()) * float(weights.sum()) / denom
+            expected[v] = total / graph.degree(v)
+        assert np.array_equal(compute_bounding_constants(graph, model).values, expected)
+
+    def test_estimated_path_on_autoregressive_weights(self, block_entries):
+        graph = _graph("weighted", seed=14)
+        model = AutoregressiveModel(0.2)
+        estimated = estimate_bounding_constants(graph, model, degree_threshold=4, rng=9)
+        gen = np.random.default_rng(9)
+        oracle = [
+            estimate_node_bounding_constant(graph, model, v, degree_threshold=4, rng=gen)
+            for v in graph.nodes()
+        ]
+        assert estimated.estimated_nodes > 0
+        assert np.array_equal(estimated.values, oracle)
 
 
 # ----------------------------------------------------------------------

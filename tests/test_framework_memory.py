@@ -1,10 +1,24 @@
 """Unit tests for memory budgets, meters, and budget traces."""
 
+import numpy as np
 import pytest
 
-from repro import MemoryBudget, MemoryMeter, SimulatedOOMError, format_bytes
-from repro.exceptions import BudgetError
+from repro import (
+    CostParams,
+    MemoryAwareFramework,
+    MemoryBudget,
+    MemoryMeter,
+    Node2VecModel,
+    SamplerKind,
+    SimulatedOOMError,
+    build_cost_table,
+    compute_bounding_constants,
+    format_bytes,
+)
+from repro.distributed import PartitionedFramework
+from repro.exceptions import BudgetError, CostModelError
 from repro.framework import linear_budget_trace
+from repro.graph import barabasi_albert_graph
 
 
 class TestFormatBytes:
@@ -86,6 +100,95 @@ class TestMemoryMeter:
         meter.reset()
         assert meter.used_bytes == 0
         assert meter.peak_bytes == 42
+
+
+def _charged_one_at_a_time(meter, amounts, labels):
+    """Reference: one :meth:`MemoryMeter.charge` per entry; the error
+    the loop stops at, or ``None``."""
+    for amount, label in zip(amounts, labels):
+        try:
+            meter.charge(amount, what=label)
+        except SimulatedOOMError as error:
+            return error
+    return None
+
+
+def _state(meter):
+    return meter.used_bytes, meter.peak_bytes, list(meter.ledger.items())
+
+
+class TestChargeMany:
+    """One-pass charging equals a loop of single charges: running total
+    (bit for bit), peak, ledger and its order, and the OOM label."""
+
+    AMOUNTS = np.random.default_rng(0).random(200) * 1e3 + 0.1
+    AMOUNTS[11] = 0.0  # a zero charge still enters the ledger
+
+    @pytest.mark.parametrize("physical", [None, 1e9, 5e4, 1e3, 20.0])
+    def test_equals_single_charges(self, physical):
+        labels = [f"alias sampler at node {v}" for v in range(len(self.AMOUNTS))]
+        labels[7] = ""  # unlabelled charges stay off the ledger
+        labels[9] = labels[3]  # a repeated label accumulates
+        fast, slow = MemoryMeter(physical), MemoryMeter(physical)
+        for meter in (fast, slow):
+            meter.charge(12.5, what="alias sampler at node 5")
+        expected = _charged_one_at_a_time(slow, self.AMOUNTS, labels)
+        if expected is None:
+            fast.charge_many(self.AMOUNTS, labels)
+        else:
+            with pytest.raises(SimulatedOOMError) as raised:
+                fast.charge_many(self.AMOUNTS, labels)
+            assert raised.value.what == expected.what
+            assert raised.value.required_bytes == expected.required_bytes
+        assert _state(fast) == _state(slow)
+
+    def test_negative_amount_rejected(self):
+        with pytest.raises(BudgetError):
+            MemoryMeter().charge_many(np.array([1.0, -1.0]), ["a", "b"])
+
+
+class TestChargeWhatIsStored:
+    """A framework charges its meter at its ``CostParams`` widths, so it
+    refuses widths other than the stored ``TABLE_FLOAT``/``TABLE_INT``."""
+
+    WIDE = CostParams(float_bytes=8, int_bytes=8)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return barabasi_albert_graph(100, 3, rng=0)
+
+    def test_memory_unaware_alias_at_eight_bytes_is_refused(self, graph):
+        # Before the check, this charged 88,416 bytes for a 44,208-byte arena.
+        with pytest.raises(CostModelError, match="stored at b_f=4, b_i=4"):
+            MemoryAwareFramework.memory_unaware(
+                graph, Node2VecModel(0.5, 2.0), SamplerKind.ALIAS, cost_params=self.WIDE
+            )
+
+    def test_framework_and_partitioned_refuse_other_widths(self, graph):
+        model = Node2VecModel(0.5, 2.0)
+        for params in (self.WIDE, CostParams(float_bytes=4, int_bytes=8)):
+            with pytest.raises(CostModelError):
+                MemoryAwareFramework(graph, model, 1e6, cost_params=params)
+            with pytest.raises(CostModelError):
+                PartitionedFramework(
+                    graph, model, np.zeros(graph.num_nodes, dtype=int), [1e6],
+                    cost_params=params,
+                )
+
+    def test_stored_widths_charge_the_arena_bytes(self, graph):
+        framework = MemoryAwareFramework.memory_unaware(
+            graph, Node2VecModel(0.5, 2.0), SamplerKind.ALIAS
+        )
+        arena = framework.batch_engine().table_arenas()["alias"]
+        stored = arena.prob.nbytes + arena.alias.nbytes
+        assert framework.meter.used_bytes == stored
+
+    def test_cost_table_projects_any_width(self, graph):
+        constants = compute_bounding_constants(graph, Node2VecModel(0.5, 2.0))
+        narrow = build_cost_table(graph, constants, CostParams())
+        wide = build_cost_table(graph, constants, self.WIDE)
+        alias = int(SamplerKind.ALIAS)
+        assert np.array_equal(wide.memory[:, alias], 2 * narrow.memory[:, alias])
 
 
 class TestBudgetTrace:
