@@ -26,7 +26,7 @@ come from a :class:`~repro.walks.kernels.KernelBackend` whose
 closes a step.
 
 Each scale records the table memory too (``tables`` in the output,
-bytes): ``table_bytes`` is the real size of the samplers' table arenas,
+bytes): ``table_bytes`` is the real size of the framework's table arenas,
 and ``engine_own_table_bytes`` the bytes of tables the assignment-aware
 engine walks that are not one of those arenas — a copy of its own.  It
 must be 0: the engine walks the samplers' buffers.
@@ -50,8 +50,11 @@ Usage::
     python benchmarks/bench_engine.py --output BENCH_walks.json
 
 ``--check`` exits non-zero if any batch configuration fails to beat the
-scalar engine at any scale, or if the assignment-aware engine holds
-table bytes of its own.  ``--quick`` sizes the workload so every
+scalar engine at any scale, if the assignment-aware engine holds table
+bytes of its own, or if building the framework and its batch engine made
+any per-node sampler view (``sampler_views_at_setup``; the framework
+keeps its samplers as arena rows, see
+:class:`~repro.framework.SamplerSet`).  ``--quick`` sizes the workload so every
 engine finishes inside the budget: no rate is extrapolated, which makes
 the numbers directly comparable across CI runs.
 """
@@ -148,21 +151,18 @@ def rejection_summary(counts: Counter) -> dict:
 
 
 def table_memory(framework, engine) -> dict:
-    """Real bytes of the samplers' table arenas, and of the tables
-    ``engine`` walks that share no memory with them (its own copy)."""
-    arenas = {}
-    for v in range(framework.graph.num_nodes):
-        arena = getattr(framework.sampler(v), "arena", None)
-        if arena is not None:
-            arenas[id(arena)] = arena
+    """Real bytes of the framework's table arenas, read from its sampler
+    set (no per-node sampler is made), and of the tables ``engine`` walks
+    that share no memory with them (its own copy)."""
+    arenas = framework.walk_engine.samplers.arenas.values()
 
     def buffers(arena):
         return [b for b in (arena.prob, arena.alias, arena.factors) if b is not None]
 
-    held = [b for arena in arenas.values() for b in buffers(arena)]
+    held = [b for arena in arenas for b in buffers(arena)]
     walked = [b for arena in engine.table_arenas().values() for b in buffers(arena)]
     return {
-        "table_bytes": sum(arena.nbytes for arena in arenas.values()),
+        "table_bytes": sum(arena.nbytes for arena in arenas),
         "engine_own_table_bytes": sum(
             b.nbytes
             for b in walked
@@ -238,6 +238,11 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
     framework = MemoryAwareFramework(
         graph, model, budget=budget, bounding_constants=constants, rng=0
     )
+    # The framework path makes no per-node sampler: the engine reads the
+    # sampler set's kind column and arenas.  Counted before the scalar
+    # engine walks, which makes each sampler it reaches.
+    framework.batch_engine()
+    sampler_views = framework.walk_engine.samplers.views_built
     # Framework set-up by layer (bounding constants are computed above and
     # handed in, so the framework's own bounding timer reads zero).
     setup = {
@@ -302,7 +307,10 @@ def run_scale(num_nodes, *, num_walks, length, time_budget, seed=0):
         "budget_bytes": round(budget, 0),
         "assignment": {str(k): int(v) for k, v in counts.items()},
         "setup": setup,
-        "tables": table_memory(framework, framework.batch_engine()),
+        "tables": {
+            **table_memory(framework, framework.batch_engine()),
+            "sampler_views_at_setup": int(sampler_views),
+        },
         "engines": engines,
         "rejection": rejection_summary(rejection_counts),
         "speedup_batch_vs_scalar": (
@@ -397,7 +405,8 @@ def main(argv=None) -> int:
         tables = entry["tables"]
         print(
             f"  tables: {tables['table_bytes']} bytes in the samplers' arenas, "
-            f"{tables['engine_own_table_bytes']} bytes the engine's own"
+            f"{tables['engine_own_table_bytes']} bytes the engine's own, "
+            f"{tables['sampler_views_at_setup']} sampler views made at set-up"
         )
         results.append(entry)
 
@@ -449,12 +458,19 @@ def main(argv=None) -> int:
                     f"{entry['num_nodes']} nodes: the engine holds {own} "
                     "table bytes of its own"
                 )
+            views = entry["tables"]["sampler_views_at_setup"]
+            if views != 0:
+                failures.append(
+                    f"{entry['num_nodes']} nodes: building the framework and "
+                    f"its batch engine made {views} per-node sampler views"
+                )
         if failures:
             print("[bench_engine] CHECK FAILED:", "; ".join(failures))
             return 1
         print(
             "[bench_engine] check passed: every batch config beats scalar "
-            "at every scale, and the engine walks the samplers' tables"
+            "at every scale, the engine walks the samplers' tables, and "
+            "set-up made no per-node sampler"
         )
     return 0
 

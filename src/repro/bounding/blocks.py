@@ -58,6 +58,21 @@ class StateBlock:
         )
 
 
+def degree_order(graph: CSRGraph, nodes: np.ndarray) -> np.ndarray:
+    """Positions of ``nodes`` stably sorted by degree: the order the set-up
+    passes give :func:`state_blocks`.
+
+    A block of nodes of one degree holds rows of one length, so the
+    per-length loops of a pass (``segment_sums``, the lockstep Vose build)
+    run once or twice per block instead of once per distinct degree in
+    it.  The order changes no value: each node's states stay contiguous
+    and in row order, every per-state and per-row result depends only on
+    its own row, and the results are written (or ``np.add.at``-summed) at
+    the node's own place.
+    """
+    return np.argsort(graph.degrees[nodes], kind="stable")
+
+
 def state_blocks(
     graph: CSRGraph, nodes: np.ndarray, widths: np.ndarray
 ) -> Iterator[StateBlock]:

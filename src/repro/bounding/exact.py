@@ -29,7 +29,7 @@ from ..graph.csr import segment_positions
 from ..models import SecondOrderModel
 from ..models.base import row_positions
 from ..sampling.utils import segment_sums
-from .blocks import StateBlock, state_blocks
+from .blocks import StateBlock, degree_order, state_blocks
 
 
 def _bounding_from_ratios(ratios: np.ndarray, weights: np.ndarray) -> float:
@@ -136,16 +136,21 @@ def compute_bounding_constants(
 
     Total complexity matches triangle counting — quadratic in node degree —
     which is exactly why Section 3.3 introduces estimation.  Runs in block
-    passes over edge states (:func:`accumulate_constants`); the values are
+    passes over edge states (:func:`accumulate_constants`) that visit the
+    nodes in :func:`~repro.bounding.blocks.degree_order`, with every
+    node's row mass ``W_v`` summed once up front; the values are
     bit-identical to :func:`node_bounding_constant` per node.
     """
     degrees = graph.degrees
     nodes = np.flatnonzero(degrees)
+    nodes = nodes[degree_order(graph, nodes)]
+    masses = segment_sums(graph.weights, degrees)
     totals = np.zeros(graph.num_nodes, dtype=np.float64)
     for block in state_blocks(graph, nodes, degrees[nodes]):
         positions, sizes = row_positions(graph, block.nodes)
         accumulate_constants(
-            totals, graph, model, block, graph.weights[positions], sizes
+            totals, graph, model, block, graph.weights[positions], sizes,
+            masses=masses[block.nodes],
         )
     values = np.ones(graph.num_nodes, dtype=np.float64)
     values[nodes] = totals[nodes] / degrees[nodes]
@@ -163,14 +168,18 @@ def accumulate_constants(
     rows: np.ndarray,
     row_sizes: np.ndarray,
     candidates: "tuple[np.ndarray, np.ndarray] | None" = None,
+    masses: np.ndarray | None = None,
 ) -> None:
     """Add ``C_uv`` of every state of ``block`` to ``totals[v]``.
 
     ``rows`` holds, per node of the block, the proposal weights its
     ratios are taken over (``row_sizes`` each); ``candidates`` is passed
-    to :meth:`~repro.models.SecondOrderModel.target_ratios_many`.  Every
-    float op follows :func:`_bounding_from_ratios`: the max is exact in
-    any order, ``W`` is each row's ``sum()``, the denominators are the
+    to :meth:`~repro.models.SecondOrderModel.target_ratios_many`.
+    ``masses`` gives each row's ``W = rows.sum()`` when the caller has it
+    (the exact pass sums every node's row once, not once per block);
+    otherwise the rows are summed here.  Every float op follows
+    :func:`_bounding_from_ratios`: the max is exact in any order, ``W``
+    is each row's ``sum()``, the denominators are the
     :func:`segment_sums` of each state's ratios times its node's row
     (``ndarray.sum`` order), and ``np.add.at`` adds the states of a node
     in order, like the scalar ``total +=``.
@@ -183,5 +192,7 @@ def accumulate_constants(
     if np.any(denoms <= 0):
         raise BoundingConstantError("target distribution has zero total mass")
     maxima = np.maximum.reduceat(ratios, np.cumsum(sizes) - sizes)
-    masses = segment_sums(rows, row_sizes)[state_row]
+    if masses is None:
+        masses = segment_sums(rows, row_sizes)
+    masses = masses[state_row]
     np.add.at(totals, block.vs, maxima * masses / denoms)

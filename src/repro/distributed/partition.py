@@ -10,8 +10,7 @@ import numpy as np
 from ..bounding import BoundingConstants, compute_bounding_constants
 from ..cost import CostParams, CostTable, SamplerKind, build_cost_table
 from ..exceptions import OptimizerError, WalkError
-from ..framework import WalkEngine, build_node_samplers
-from ..framework.interfaces import NodeSampler
+from ..framework import SamplerSet, WalkEngine
 from ..graph import CSRGraph
 from ..models import SecondOrderModel
 from ..optimizer import Assignment, lp_greedy
@@ -183,13 +182,7 @@ class PartitionedFramework:
             kinds[nodes] = assignment.samplers
         # One build per kind over every worker's nodes: one table arena
         # per kind for the whole cluster.
-        kinds[graph.degrees == 0] = -1
-        self._samplers: list[NodeSampler | None] = [None] * graph.num_nodes
-        for kind in SamplerKind:
-            picked = np.flatnonzero(kinds == int(kind))
-            built = build_node_samplers(kind, graph, model, picked)
-            for v, sampler in zip(picked.tolist(), built):
-                self._samplers[v] = sampler
+        self._samplers = SamplerSet.build(graph, model, kinds)
         self._engine = WalkEngine(graph, self._samplers)
 
     # ------------------------------------------------------------------
@@ -328,6 +321,6 @@ class PartitionedFramework:
 
     def sampler_kind(self, node: int) -> SamplerKind | None:
         """The sampler kind assigned to ``node`` (None for isolated)."""
-        if self._samplers[node] is None:
+        if self.graph.degree(node) == 0:
             return None
-        return self._samplers[node].kind
+        return SamplerKind(int(self._samplers.columns[node]))

@@ -2,9 +2,11 @@
 
 :class:`MemoryAwareFramework` wires everything together: it computes
 bounding constants, runs the cost-based optimizer to pick a node sampler
-per node under the memory budget, materialises those samplers, and exposes
-walk generation.  The per-node samplers implement the paper's
-``NodeSampler`` programming interface (Figure 6).
+per node under the memory budget, builds their tables into one arena per
+sampler kind (a :class:`SamplerSet`), and exposes walk generation.  The
+samplers implement the paper's ``NodeSampler`` programming interface
+(Figure 6); the set makes each one as a view over its arena rows when it
+is first asked for.
 """
 
 from .interfaces import NeighborProvider, NodeSampler
@@ -12,6 +14,7 @@ from .node_samplers import (
     AliasNodeSampler,
     NaiveNodeSampler,
     RejectionNodeSampler,
+    SamplerSet,
     build_node_sampler,
     build_node_samplers,
 )
@@ -38,6 +41,7 @@ __all__ = [
     "NaiveNodeSampler",
     "RejectionNodeSampler",
     "AliasNodeSampler",
+    "SamplerSet",
     "build_node_sampler",
     "build_node_samplers",
     "MemoryBudget",

@@ -40,19 +40,23 @@ A sampler keeps its arena and offset.  The :class:`AliasTable` objects
 ``first_order``, ``tables``, ``proposal`` and ``table_for`` return are
 views made when asked (bit-identical to standalone tables over the same
 weights), and the scalar draws read the slots directly.
-The batch engine walks the arenas themselves
-(:class:`~repro.walks.BatchWalkEngine`), so the tables exist once.
+A framework keeps no sampler per node: its :class:`SamplerSet` holds the
+arenas, their offsets and a per-node kind column, and makes a sampler as
+a view over a node's rows when one is asked for.  The batch engine walks
+the arenas themselves (:class:`~repro.walks.BatchWalkEngine`), so the
+tables exist once.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..bounding.blocks import state_blocks
+from ..bounding.blocks import degree_order, state_blocks
 from ..bounding.exact import edge_max_ratio
 from ..cost import (
     CostParams,
@@ -588,27 +592,163 @@ _ARENA_CLASSES: dict[SamplerKind, type[_ArenaSampler]] = {
     SamplerKind.ALIAS: AliasNodeSampler,
 }
 
+#: Tables an arena already holds, for a new arena to take over: the
+#: source arena, the nodes whose tables it holds, and each one's first
+#: slot in it.
+Carry = tuple[TableArena, np.ndarray, np.ndarray]
+
+
+class SamplerSet(Sequence["NodeSampler | None"]):
+    """The samplers of a framework, as rows of one table arena per kind.
+
+    ``columns[v]`` is node ``v``'s cost-table column (its assignment).  A
+    node of a built-in table kind owns the slots of ``arenas[kind]`` from
+    ``bases[kind][v]`` on (``-1`` for nodes of other kinds); a node of a
+    user column (``extra_samplers``) has its sampler object in ``extra``;
+    a naive node holds nothing.  Nothing else is kept per node.
+
+    ``samplers[v]`` is a :class:`NodeSampler` view over those rows, built
+    on first access and memoised, so per-sampler state such as
+    ``empirical_tries`` lives as long as the set, and the scalar engine
+    draws exactly as over a sampler built alone.  Isolated nodes have no
+    sampler (``None``).
+
+    A set is never changed in place: :meth:`updated` returns a new set,
+    so an engine made over a set keeps walking its arenas.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        model: SecondOrderModel,
+        columns: np.ndarray,
+        arenas: dict[SamplerKind, TableArena],
+        bases: dict[SamplerKind, np.ndarray],
+        extra: dict[int, NodeSampler],
+        views: "dict[int, NodeSampler] | None" = None,
+    ) -> None:
+        self.graph = graph
+        self.model = model
+        self.columns = columns
+        self.arenas = arenas
+        self.bases = bases
+        self.extra = extra
+        self._views: dict[int, NodeSampler] = views or {}
+
+    @classmethod
+    def build(
+        cls,
+        graph: CSRGraph,
+        model: SecondOrderModel,
+        columns: np.ndarray,
+        specs: Sequence = (),
+    ) -> "SamplerSet":
+        """The samplers of assignment ``columns``; column ``3 + i`` is
+        built by ``specs[i]`` (a
+        :class:`~repro.framework.extra_samplers.SamplerSpec`)."""
+        empty = np.full(graph.num_nodes, -1, dtype=np.int64)
+        return cls(graph, model, empty, {}, {}, {}).updated(columns, specs)
+
+    def __len__(self) -> int:
+        return int(self.graph.num_nodes)
+
+    def __iter__(self) -> Iterator["NodeSampler | None"]:
+        return (self[v] for v in range(len(self)))
+
+    def __getitem__(self, node):  # type: ignore[override]
+        node = operator.index(node)
+        if not 0 <= node < len(self):
+            raise WalkError(f"node {node} out of range")
+        view = self._views.get(node)
+        if view is None and self.graph.degree(node) > 0:
+            view = self._views[node] = self._view(node)
+        return view
+
+    def _view(self, node: int) -> NodeSampler:
+        column = int(self.columns[node])
+        if column == SamplerKind.NAIVE:
+            return NaiveNodeSampler(self.graph, self.model, node)
+        if column in _ARENA_CLASSES:
+            kind = SamplerKind(column)
+            return _ARENA_CLASSES[kind]._in_arena(
+                self.graph, self.model, node,
+                self.arenas[kind], int(self.bases[kind][node]),
+            )
+        return self.extra[node]
+
+    @property
+    def views_built(self) -> int:
+        """How many per-node sampler views have been made so far."""
+        return len(self._views)
+
+    def updated(self, columns: np.ndarray, specs: Sequence = ()) -> "SamplerSet":
+        """The set of assignment ``columns``: nodes whose column changed
+        get new samplers, the others keep theirs.
+
+        Each arena kind that gains or loses a node is compacted into a new
+        arena: the survivors' slot ranges are copied in, in node order (a
+        run of ranges that lie end to end in the old arena is one copy),
+        and the changed nodes' tables are built after them in block
+        passes (:func:`build_arena`).  Arenas of other kinds, and the user
+        samplers of unchanged nodes, are shared with this set.  Memoised
+        views of unchanged nodes carry over, moved onto the new arena
+        where theirs was compacted.
+        """
+        columns = np.array(columns, dtype=np.int64)
+        graph, n = self.graph, self.graph.num_nodes
+        changed = np.flatnonzero(self.columns != columns)
+        active = graph.degrees > 0
+        fresh = changed[active[changed]]
+        touched = set(self.columns[changed].tolist()) | set(columns[changed].tolist())
+        arenas, bases = dict(self.arenas), dict(self.bases)
+        for kind in _ARENA_CLASSES:
+            if int(kind) not in touched:
+                continue
+            held = np.flatnonzero(active & (self.columns == kind) & (columns == kind))
+            built = fresh[columns[fresh] == kind]
+            arenas.pop(kind, None)
+            bases.pop(kind, None)
+            if held.size + built.size == 0:
+                continue
+            carry = [(self.arenas[kind], held, self.bases[kind][held])] if held.size else []
+            arena, offsets = build_arena(kind, graph, self.model, built, carry=carry)
+            base = np.full(n, -1, dtype=np.int64)
+            base[np.concatenate((held, built))] = offsets
+            arenas[kind], bases[kind] = arena, base
+        extra = {
+            v: sampler
+            for v, sampler in self.extra.items()
+            if columns[v] == self.columns[v]
+        }
+        for v in fresh[columns[fresh] >= len(SamplerKind)].tolist():
+            spec = specs[int(columns[v]) - len(SamplerKind)]
+            extra[v] = spec.build(graph, self.model, v)
+        views: dict[int, NodeSampler] = {}
+        for v, view in self._views.items():
+            column = int(columns[v])
+            if column != self.columns[v]:
+                continue
+            if column in _ARENA_CLASSES:
+                kind = SamplerKind(column)
+                if arenas[kind] is not self.arenas[kind]:
+                    view = view._moved(arenas[kind], int(bases[kind][v]))
+            views[v] = view
+        return SamplerSet(graph, self.model, columns, arenas, bases, extra, views)
+
 
 def build_node_samplers(
     kind: SamplerKind,
     graph: CSRGraph,
     model: SecondOrderModel,
     nodes: np.ndarray,
-    *,
-    carry: Sequence["_ArenaSampler"] = (),
 ) -> list[NodeSampler]:
     """Samplers of one kind for ``nodes``, in order.
 
     The same samplers :func:`build_node_sampler` returns one node at a
     time, with bit-identical tables and factors, but built in block
-    passes over the nodes' edge states: one ratio or weight batch and one
-    lockstep Vose build per block instead of one per table.  The
-    rejection and alias samplers share one :class:`TableArena`.
-
-    ``carry`` lists built samplers of ``kind`` whose tables go into the
-    new arena as well (a compaction, see :func:`build_arena`); copies of
-    them over it follow the samplers of ``nodes`` in the result, and the
-    originals keep their old arena.
+    passes over the nodes' edge states (:func:`build_arena`) into one
+    shared :class:`TableArena`.  A framework keeps a :class:`SamplerSet`
+    instead; this list is for hand-assembled sampler arrays.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if kind is SamplerKind.NAIVE:
@@ -622,14 +762,10 @@ def build_node_samplers(
             raise WalkError(f"node {v} out of range")
         if graph.degree(v) == 0:
             raise WalkError(f"node {v} has no neighbours to sample")
-    arena, offsets = build_arena(kind, graph, model, nodes, carry=carry)
-    kept = len(carry)
+    arena, offsets = build_arena(kind, graph, model, nodes)
     return [
         cls._in_arena(graph, model, v, arena, offset)
-        for v, offset in zip(nodes.tolist(), offsets[kept:].tolist())
-    ] + [
-        sampler._moved(arena, offset)
-        for sampler, offset in zip(carry, offsets[:kept].tolist())
+        for v, offset in zip(nodes.tolist(), offsets.tolist())
     ]
 
 
@@ -640,15 +776,16 @@ def build_arena(
     nodes: np.ndarray,
     *,
     factors: np.ndarray | None = None,
-    carry: Sequence["_ArenaSampler"] = (),
+    carry: Sequence[Carry] = (),
 ) -> tuple[TableArena, np.ndarray]:
-    """One arena of ``kind`` holding the tables of ``carry`` and of
-    ``nodes``, plus the first slot of each of them, ``carry`` first.
+    """One arena of ``kind`` holding the tables ``carry`` names and those
+    of ``nodes``, plus the first slot of each of those nodes, carried ones
+    first, in order.
 
-    ``carry`` samplers' tables are copied in (a compaction: survivors of
-    a budget update, or a hand-assembled sampler list made walkable); the
-    tables of ``nodes`` are built in block passes that write straight
-    into the arena.
+    ``carry`` tables are copied in slot range by slot range (a
+    compaction: survivors of a budget update, or a hand-assembled sampler
+    list made walkable); the tables of ``nodes`` are built in block
+    passes that write straight into the arena.
 
     ``factors`` supplies the rejection acceptance factors of every edge
     state of ``nodes``, in order.  Without them a model with a
@@ -657,8 +794,8 @@ def build_arena(
     the rejection part of the paper's ``T_NS``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    held = np.array([sampler.node for sampler in carry], dtype=np.int64)
-    degrees = graph.degrees[np.concatenate((held, nodes))].astype(np.int64)
+    held = [np.asarray(kept, dtype=np.int64) for _, kept, _ in carry]
+    degrees = graph.degrees[np.concatenate((*held, nodes))].astype(np.int64)
     traced = _msan_active()
     if kind is SamplerKind.ALIAS:
         slots = (degrees + 1) * degrees
@@ -675,19 +812,46 @@ def build_arena(
     else:
         raise SamplerError(f"sampler kind {kind!r} keeps no tables")
     offsets = np.cumsum(slots) - slots
-    for sampler, start, size in zip(carry, offsets.tolist(), slots.tolist()):
-        source, at = sampler._arena, sampler._offset
-        end = start + size
-        arena.prob[start:end] = source.prob[at : at + size]
-        arena.alias[start:end] = source.alias[at : at + size]
-        if arena.factors is not None:
-            arena.factors[start:end] = source.factors[at : at + size]
-    fresh = offsets[len(carry):]
+    taken = 0
+    for (source, _, at), kept in zip(carry, held):
+        end = taken + len(kept)
+        _copy_rows(
+            arena, offsets[taken:end], source, np.asarray(at, dtype=np.int64),
+            slots[taken:end],
+        )
+        taken = end
+    fresh = offsets[taken:]
     if kind is SamplerKind.ALIAS:
         _fill_alias(arena, fresh, graph, model, nodes)
     else:
         _fill_rejection(arena, fresh, graph, model, nodes, factors)
     return arena, offsets
+
+
+def _copy_rows(
+    arena: TableArena,
+    starts: np.ndarray,
+    source: TableArena,
+    at: np.ndarray,
+    sizes: np.ndarray,
+) -> None:
+    """Copy slots ``at[i] .. at[i] + sizes[i] - 1`` of ``source`` to the
+    end-to-end ranges from ``starts[0]`` on in ``arena``: one slice copy
+    per run of ranges that lie end to end in ``source`` too, so nothing
+    per slot is allocated."""
+    if not len(sizes):
+        return
+    ends = at + sizes
+    breaks = np.flatnonzero(at[1:] != ends[:-1]) + 1
+    firsts = np.concatenate(([0], breaks)).tolist()
+    lasts = (np.concatenate((breaks, [len(sizes)])) - 1).tolist()
+    pairs = [(arena.prob, source.prob), (arena.alias, source.alias)]
+    if arena.factors is not None:
+        pairs.append((arena.factors, source.factors))
+    for first, last in zip(firsts, lasts):
+        lo, hi, to = int(at[first]), int(ends[last]), int(starts[first])
+        for target, origin in pairs:
+            target[to : to + hi - lo] = origin[lo:hi]
 
 
 def _node_offsets(block, offsets: np.ndarray, started: int) -> np.ndarray:
@@ -706,7 +870,15 @@ def _fill_rejection(
     factors: np.ndarray | None,
 ) -> None:
     """Write the proposal tables and acceptance factors of ``nodes`` into
-    ``arena`` at ``offsets`` (see :func:`build_arena` for the factors)."""
+    ``arena`` at ``offsets`` (see :func:`build_arena` for the factors).
+    The pass visits the nodes in degree order (:func:`degree_order`)."""
+    order = degree_order(graph, nodes)
+    if factors is not None:
+        # Each node's factors go with it to its place in the pass.
+        degrees = graph.degrees[nodes].astype(np.int64)
+        starts = np.cumsum(degrees) - degrees
+        factors = factors[segment_positions(starts[order], degrees[order])]
+    nodes, offsets = nodes[order], offsets[order]
     exact = arena.factors is not None and factors is None
     widths = np.where(exact, graph.degrees[nodes], 1)
     started = taken = 0
@@ -752,7 +924,12 @@ def _fill_alias(
     nodes: np.ndarray,
 ) -> None:
     """Write the n2e and e2e tables of ``nodes`` into ``arena`` at
-    ``offsets``: one lockstep Vose build per block, in table order."""
+    ``offsets``: one lockstep Vose build per block, in table order.  The
+    pass visits the nodes in degree order (:func:`degree_order`), so a
+    block's tables are of few sizes and its Vose loop runs about as many
+    iterations as its tables need, not as its largest one needs."""
+    order = degree_order(graph, nodes)
+    nodes, offsets = nodes[order], offsets[order]
     started = 0
     for block in state_blocks(graph, nodes, graph.degrees[nodes]):
         begins = block.first == 0
@@ -784,20 +961,30 @@ def joint_arena(
 
     Samplers built together share their arena, which comes back as it
     is.  Samplers from several arenas (a hand-assembled list, e.g. of
-    one-node samplers) are copied into a new one.
+    one-node samplers) are copied into a new one, in order.
     """
     arena = samplers[0]._arena
+    offsets = np.fromiter(
+        (s._offset for s in samplers), dtype=np.int64, count=len(samplers)
+    )
     if all(s._arena is arena for s in samplers):
-        offsets = np.fromiter(
-            (s._offset for s in samplers),
-            dtype=np.int64,
-            count=len(samplers),
-        )
         return arena, offsets
+    nodes = np.fromiter(
+        (s.node for s in samplers), dtype=np.int64, count=len(samplers)
+    )
+    # One carry per run of samplers over the same arena.
+    cuts = [
+        i for i in range(1, len(samplers))
+        if samplers[i]._arena is not samplers[i - 1]._arena
+    ]
+    carry = [
+        (samplers[a]._arena, nodes[a:b], offsets[a:b])
+        for a, b in zip([0, *cuts], [*cuts, len(samplers)])
+    ]
     first = samplers[0]
     return build_arena(
         arena.kind, first.graph, first.model, np.empty(0, dtype=np.int64),
-        carry=samplers,
+        carry=carry,
     )
 
 

@@ -17,13 +17,17 @@ from ..exceptions import WalkError
 from ..graph import CSRGraph
 from ..rng import RngLike, ensure_rng
 from .interfaces import NodeSampler
+from .node_samplers import SamplerSet
 
 
 class WalkEngine:
     """Generates second-order random walks over per-node samplers.
 
     ``samplers[v]`` draws the successors of node ``v``; entries for
-    degree-0 nodes may be ``None`` (walks terminate there).
+    degree-0 nodes may be ``None`` (walks terminate there).  A
+    framework's :class:`~repro.framework.node_samplers.SamplerSet` is
+    walked as it is: it has a sampler for every node with neighbours, and
+    makes each one when a walk first reaches its node.
     """
 
     def __init__(
@@ -33,10 +37,13 @@ class WalkEngine:
             raise WalkError(
                 f"{len(samplers)} samplers for {graph.num_nodes} nodes"
             )
+        self.graph = graph
+        if isinstance(samplers, SamplerSet):
+            self.samplers: Sequence[NodeSampler | None] = samplers
+            return
         for v, sampler in enumerate(samplers):
             if sampler is None and graph.degree(v) > 0:
                 raise WalkError(f"node {v} has neighbours but no sampler")
-        self.graph = graph
         self.samplers = list(samplers)
 
     # ------------------------------------------------------------------

@@ -205,25 +205,27 @@ def build_alias_tables(
 
     pairing = (num_small > 0) & (num_small < sizes)
     first, last = starts[pairing], ends[pairing]
-    n_small, n_large = num_small[pairing], (sizes - num_small)[pairing]
+    # Per pairing table: small outcomes at stack[first:top] (top of list
+    # at top - 1), large ones at stack[top:last] (top of list at bottom).
+    top = first + num_small[pairing]
+    bottom = top.copy()
     while len(first):
-        n_small -= 1
-        n_large -= 1
-        lo = stack[first + n_small]
-        hi = stack[last - 1 - n_large]
+        top -= 1
+        lo = stack[top]
+        hi = stack[bottom]
         alias[lo] = hi - first
         residual = (scaled[hi] + scaled[lo]) - 1.0
         scaled[hi] = residual
         demoted = residual < 1.0
-        # A demoted donor takes the freed top slot of the small list; an
-        # undemoted one stays where it was on the large list.
-        stack[first + n_small] = np.where(demoted, hi, lo)
-        n_small += demoted
-        n_large += ~demoted
-        going = (n_small > 0) & (n_large > 0)
+        # A demoted donor takes the freed top slot of the small list and
+        # leaves the large one; an undemoted one stays on the large list.
+        stack[top] = np.where(demoted, hi, lo)
+        top += demoted
+        bottom += demoted
+        going = (top > first) & (bottom < last)
         if not going.all():
             first, last = first[going], last[going]
-            n_small, n_large = n_small[going], n_large[going]
+            top, bottom = top[going], bottom[going]
     # Retired outcomes keep the residual they were paired with; the
     # leftovers are exactly-1 columns up to float error (prob 1, self).
     prob = np.where(alias != local, scaled, 1.0)

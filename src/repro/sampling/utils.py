@@ -52,7 +52,13 @@ def segment_sums(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         size = int(ordered[lo]) if hi > lo else 0
         if size:
             rows = order[lo:hi]
-            sums[rows] = flat[starts[rows, None] + np.arange(size)].sum(axis=1)
+            if rows[-1] - rows[0] == hi - lo - 1:
+                # Consecutive segments lie end to end: read them in place.
+                at = int(starts[rows[0]])
+                matrix = flat[at : at + (hi - lo) * size].reshape(-1, size)
+            else:
+                matrix = flat[starts[rows, None] + np.arange(size)]
+            sums[rows] = matrix.sum(axis=1)
     return sums
 
 

@@ -59,11 +59,13 @@ from typing import Sequence
 
 import numpy as np
 
+from ..cost import SamplerKind
 from ..exceptions import SamplerError, WalkError
 from ..framework.interfaces import NodeSampler
 from ..framework.node_samplers import (
     AliasNodeSampler,
     RejectionNodeSampler,
+    SamplerSet,
     TableArena,
     joint_arena,
 )
@@ -78,6 +80,27 @@ from .kernels import KernelBackend, resolve_backend
 # Internal dispatch buckets, processed in this fixed order each step.
 _NAIVE, _REJECTION, _ALIAS, _FALLBACK = 0, 1, 2, 3
 _KIND_NAMES = {_NAIVE: "naive", _REJECTION: "rejection", _ALIAS: "alias", _FALLBACK: "fallback"}
+#: The bucket of each built-in sampler kind, and the kind whose table
+#: arena each table bucket walks.
+_KIND_BUCKETS = {
+    SamplerKind.NAIVE: _NAIVE,
+    SamplerKind.REJECTION: _REJECTION,
+    SamplerKind.ALIAS: _ALIAS,
+}
+_BUCKET_KINDS = {_REJECTION: SamplerKind.REJECTION, _ALIAS: SamplerKind.ALIAS}
+
+
+def _bucket_of(sampler: NodeSampler) -> int:
+    """The dispatch bucket of one sampler object: its table kind, naive
+    (the engine rebuilds on demand), or the per-group fallback."""
+    if isinstance(sampler, RejectionNodeSampler):
+        return _REJECTION
+    if isinstance(sampler, AliasNodeSampler):
+        return _ALIAS
+    kind = getattr(sampler, "kind", None)
+    if kind is not None and int(kind) == SamplerKind.NAIVE:
+        return _NAIVE
+    return _FALLBACK
 
 
 class BatchWalkEngine:
@@ -88,10 +111,12 @@ class BatchWalkEngine:
     graph, model:
         The substrate graph and second-order model.
     samplers:
-        Per-node :class:`~repro.framework.NodeSampler` array (e.g.
-        ``framework.walk_engine.samplers``).  ``None`` runs every node on
-        the on-demand naive path — the original "batched-naive" engine,
-        an O(1)-memory point in the paper's design space.
+        A framework's :class:`~repro.framework.SamplerSet` (e.g.
+        ``framework.walk_engine.samplers``), whose kind column and table
+        arenas the engine reads as they are, or a hand-assembled per-node
+        :class:`~repro.framework.NodeSampler` array.  ``None`` runs every
+        node on the on-demand naive path — the original "batched-naive"
+        engine, an O(1)-memory point in the paper's design space.
     max_rejection_rounds:
         Safety valve for the vectorised rejection loop.
     backend:
@@ -115,34 +140,15 @@ class BatchWalkEngine:
         self.graph = graph
         self.model = model
         self.backend = resolve_backend(backend)
-        self.samplers = list(samplers) if samplers is not None else None
         self.max_rejection_rounds = int(max_rejection_rounds)
         self._n = graph.num_nodes
 
-        kind_of = np.full(self._n, _NAIVE, dtype=np.int8)
-        if self.samplers is not None:
-            if len(self.samplers) != self._n:
-                raise WalkError(
-                    f"{len(self.samplers)} samplers for {self._n} nodes"
-                )
-            for v, sampler in enumerate(self.samplers):
-                if sampler is None:
-                    if graph.degree(v) > 0:
-                        raise WalkError(
-                            f"node {v} has neighbours but no sampler"
-                        )
-                    continue
-                if isinstance(sampler, RejectionNodeSampler):
-                    kind_of[v] = _REJECTION
-                elif isinstance(sampler, AliasNodeSampler):
-                    kind_of[v] = _ALIAS
-                elif getattr(sampler, "kind", None) is not None and int(
-                    sampler.kind
-                ) == 0:
-                    kind_of[v] = _NAIVE  # naive: engine rebuilds on demand
-                else:
-                    kind_of[v] = _FALLBACK
-        self._kind_of = kind_of
+        if isinstance(samplers, SamplerSet):
+            self.samplers: Sequence[NodeSampler | None] | None = samplers
+            self._kind_of = self._set_buckets(samplers)
+        else:
+            self.samplers = list(samplers) if samplers is not None else None
+            self._kind_of = self._list_buckets(self.samplers)
         self._global_bound = model.max_ratio_bound(graph)
         self._rejection_arena, self._rejection_base = self._arena_of(_REJECTION)
         self._alias_arena, self._alias_base = self._arena_of(_ALIAS)
@@ -166,16 +172,49 @@ class BatchWalkEngine:
         self._dispatch_walkers = {name: 0 for name in _KIND_NAMES.values()}
         self._steps = 0
 
+    def _set_buckets(self, samplers: SamplerSet) -> np.ndarray:
+        """Dispatch bucket per node of a framework's sampler set, from its
+        kind column: no sampler is made.  Only user samplers
+        (``extra_samplers``) are looked at one by one."""
+        if len(samplers) != self._n:
+            raise WalkError(f"{len(samplers)} samplers for {self._n} nodes")
+        columns = samplers.columns
+        kind_of = np.full(self._n, _FALLBACK, dtype=np.int8)
+        for kind, bucket in _KIND_BUCKETS.items():
+            kind_of[columns == kind] = bucket
+        kind_of[self.graph.degrees == 0] = _NAIVE
+        for v, sampler in samplers.extra.items():
+            kind_of[v] = _bucket_of(sampler)
+        return kind_of
+
+    def _list_buckets(
+        self, samplers: Sequence[NodeSampler | None] | None
+    ) -> np.ndarray:
+        """Dispatch bucket per node of a hand-assembled sampler list (all
+        naive without one)."""
+        kind_of = np.full(self._n, _NAIVE, dtype=np.int8)
+        if samplers is None:
+            return kind_of
+        if len(samplers) != self._n:
+            raise WalkError(f"{len(samplers)} samplers for {self._n} nodes")
+        for v, sampler in enumerate(samplers):
+            if sampler is not None:
+                kind_of[v] = _bucket_of(sampler)
+            elif self.graph.degree(v) > 0:
+                raise WalkError(f"node {v} has neighbours but no sampler")
+        return kind_of
+
     def _arena_of(
         self, bucket: int
     ) -> tuple[TableArena | None, np.ndarray | None]:
         """The table arena of the ``bucket`` samplers, and ``base``: node
         ``v``'s first slot in it at ``base[v]`` (-1 for other nodes).
 
-        The engine walks the samplers' own arena: samplers built together
-        share one (every framework path builds one per kind), so it holds
-        no table bytes of its own.  Only a hand-assembled list whose
-        samplers come from several arenas is copied into a joint one (see
+        Over a framework's :class:`SamplerSet` the engine takes the set's
+        arena and offsets of the bucket's kind as they are, so it holds no
+        table bytes of its own.  Samplers of a hand-assembled list built
+        together share one arena too; only a list whose samplers come from
+        several arenas is copied into a joint one (see
         :func:`~repro.framework.node_samplers.joint_arena`).  Addressing,
         with ``d = degree(v)``:
 
@@ -190,6 +229,11 @@ class BatchWalkEngine:
         nodes = np.flatnonzero(self._kind_of == bucket)
         if self.samplers is None or nodes.size == 0:
             return None, None
+        kind = _BUCKET_KINDS[bucket]
+        if isinstance(self.samplers, SamplerSet) and np.all(
+            self.samplers.columns[nodes] == kind
+        ):
+            return self.samplers.arenas[kind], self.samplers.bases[kind]
         arena, offsets = joint_arena([self.samplers[v] for v in nodes.tolist()])
         base = np.full(self._n, -1, dtype=np.int64)
         base[nodes] = offsets

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: each table/figure runs at tiny scale
 and satisfies its paper-shape assertions."""
 
+import statistics
+
 import pytest
 
 from repro import AutoregressiveModel, Node2VecModel
@@ -197,22 +199,30 @@ class TestFigure8:
 
 
 class TestFigure9:
+    #: Repeats of the whole update sequence.  One update takes a few ms,
+    #: so a single run's comparison flips on machine load; the medians of
+    #: interleaved repeats do not.
+    REPEATS = 7
+
     def test_updates_cheap_and_decrease_cheapest(self):
-        report = figure9.run(
-            datasets=("blogcatalog",), scale=0.2, models=AUTO_MODEL, rng=0
-        )
-        table = report.tables[0]
-        increases = [r for r in table.rows if r[3] == "increase"]
-        decreases = [r for r in table.rows if r[3] == "decrease"]
-        assert increases and decreases
+        avg_inc, avg_dec = [], []
+        for _ in range(self.REPEATS):
+            report = figure9.run(
+                datasets=("blogcatalog",), scale=0.2, models=AUTO_MODEL, rng=0
+            )
+            table = report.tables[0]
+            increases = [r for r in table.rows if r[3] == "increase"]
+            decreases = [r for r in table.rows if r[3] == "decrease"]
+            assert increases and decreases
+            # Optimizer-level work: decreases only revert, increases only
+            # apply.
+            assert all(r[4] == 0 for r in decreases)
+            assert all(r[5] == 0 for r in increases)
+            avg_inc.append(sum(r[6] for r in increases) / len(increases))
+            avg_dec.append(sum(r[6] for r in decreases) / len(decreases))
         # Decrease never constructs samplers → cheaper than the average
         # increase.
-        avg_inc = sum(r[6] for r in increases) / len(increases)
-        avg_dec = sum(r[6] for r in decreases) / len(decreases)
-        assert avg_dec < avg_inc
-        # Optimizer-level work: decreases only revert, increases only apply.
-        assert all(r[4] == 0 for r in decreases)
-        assert all(r[5] == 0 for r in increases)
+        assert statistics.median(avg_dec) < statistics.median(avg_inc)
 
 
 class TestAblation:

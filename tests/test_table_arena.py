@@ -107,8 +107,8 @@ def table_bytes(framework) -> dict[SamplerKind, int]:
 
 def charged_bytes(framework) -> dict[SamplerKind, float]:
     """What the budget charged each kind's tables: the cost-table memory
-    of its nodes.  Where the framework has a meter, its ledger says the
-    same."""
+    of its nodes.  Where the framework has a meter, its ledger entry for
+    the kind says the same."""
     kinds = assigned_kinds(framework)
     rows = np.arange(framework.graph.num_nodes)
     memory = framework.cost_table.memory[rows, kinds]
@@ -120,10 +120,7 @@ def charged_bytes(framework) -> dict[SamplerKind, float]:
     meter = getattr(framework, "meter", None)
     if meter is not None:
         for kind, amount in charged.items():
-            prefix = f"{kind.name.lower()} sampler at node "
-            ledger = sum(
-                b for label, b in meter.ledger.items() if label.startswith(prefix)
-            )
+            ledger = meter.ledger.get(f"{kind.name.lower()} samplers", 0.0)
             assert ledger == pytest.approx(amount)
     return charged
 
