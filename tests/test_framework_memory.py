@@ -142,9 +142,116 @@ class TestChargeMany:
             assert raised.value.required_bytes == expected.required_bytes
         assert _state(fast) == _state(slow)
 
+    @pytest.mark.parametrize("physical", [None, 5e4, 20.0])
+    def test_grouped_equals_single_charges(self, physical):
+        # One entry per kind, as a framework charges; the label naming a
+        # charge is formatted only for the one that overflows.
+        kinds = ["alias samplers", "", "naive samplers", "alias samplers"]
+        groups = np.random.default_rng(1).integers(0, len(kinds), len(self.AMOUNTS))
+        named = []
+
+        def name(i):
+            named.append(i)
+            return f"sampler {groups[i]} at node {i}"
+
+        fast, slow = MemoryMeter(physical), MemoryMeter(physical)
+        for meter in (fast, slow):
+            meter.charge(12.5, what="naive samplers")
+        expected = _charged_one_at_a_time(
+            slow, self.AMOUNTS, [kinds[g] for g in groups]
+        )
+        if expected is None:
+            fast.charge_many(self.AMOUNTS, kinds, groups=groups, name=name)
+            assert named == []
+        else:
+            with pytest.raises(SimulatedOOMError) as raised:
+                fast.charge_many(self.AMOUNTS, kinds, groups=groups, name=name)
+            (first,) = named
+            assert raised.value.what == f"sampler {groups[first]} at node {first}"
+            assert expected.what == kinds[groups[first]]
+            assert raised.value.required_bytes == expected.required_bytes
+        assert _state(fast) == _state(slow)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_release_many_equals_single_releases(self, grouped):
+        kinds = ["alias samplers", "", "naive samplers", "rejection samplers"]
+        groups = np.random.default_rng(2).integers(0, len(kinds), len(self.AMOUNTS))
+        labels = [kinds[g] for g in groups]
+        fast, slow = MemoryMeter(), MemoryMeter()
+        for meter in (fast, slow):
+            meter.charge_many(self.AMOUNTS, labels)
+            meter.charge(5.0, what="other")
+        # Release more than was charged: the total stops at zero and a
+        # kind's entry leaves the ledger when it falls to zero.
+        released = np.concatenate((self.AMOUNTS[::-1], self.AMOUNTS[:40]))
+        order = np.concatenate((groups[::-1], groups[:40]))
+        for amount, g in zip(released, order):
+            slow.release(amount, what=kinds[g])
+        if grouped:
+            fast.release_many(released, kinds, groups=order)
+        else:
+            fast.release_many(released, [kinds[g] for g in order])
+        assert _state(fast) == _state(slow)
+        assert fast.used_bytes == 0.0
+        assert list(fast.ledger) == ["other"]
+
     def test_negative_amount_rejected(self):
         with pytest.raises(BudgetError):
             MemoryMeter().charge_many(np.array([1.0, -1.0]), ["a", "b"])
+        with pytest.raises(BudgetError):
+            MemoryMeter().release_many(np.array([1.0, -1.0]), ["a", "b"])
+
+
+class TestFrameworkMeter:
+    """A framework charges and releases its meter as one charge and one
+    release per node, in node order, would: bit for bit, with one ledger
+    entry per kind and an OOM that names the first node that overflows."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return barabasi_albert_graph(300, 4, rng=3)
+
+    def test_oom_names_the_first_node_that_does_not_fit(self, graph):
+        model = Node2VecModel(0.25, 4.0)
+        table = build_cost_table(graph, compute_bounding_constants(graph, model))
+        alias = table.memory[:, int(SamplerKind.ALIAS)]
+        physical = 0.6 * alias.sum()
+        first = int(np.argmax(np.cumsum(alias) > physical))
+        with pytest.raises(SimulatedOOMError) as raised:
+            MemoryAwareFramework.memory_unaware(
+                graph, model, SamplerKind.ALIAS, physical_memory=physical
+            )
+        assert raised.value.what == f"alias sampler at node {first}"
+        assert raised.value.required_bytes == int(np.cumsum(alias)[first])
+
+    def test_set_budget_cycle_matches_one_at_a_time(self, graph):
+        model = Node2VecModel(0.25, 4.0)
+        full = MemoryAwareFramework(graph, model, 1e12).assignment.used_memory
+        fw = MemoryAwareFramework(graph, model, 0.3 * full)
+        names = [kind.name.lower() for kind in SamplerKind]
+        memory = fw.cost_table.memory
+        active = graph.degrees > 0
+
+        reference = MemoryMeter()
+        columns = fw.assignment.samplers
+        kinds_seen = set()
+        for v in np.flatnonzero(active):
+            reference.charge(memory[v, columns[v]], what=f"{names[columns[v]]} samplers")
+        assert _state(fw.meter) == _state(reference)
+        for ratio in (0.01, 0.6, 0.45):
+            fw.set_budget(ratio * full)
+            new = fw.assignment.samplers
+            changed = np.flatnonzero((columns != new) & active)
+            for v in changed:
+                reference.release(memory[v, columns[v]], what=f"{names[columns[v]]} samplers")
+            for v in changed:
+                reference.charge(memory[v, new[v]], what=f"{names[new[v]]} samplers")
+            columns = new
+            assert _state(fw.meter) == _state(reference)
+            kinds_seen |= set(fw.meter.ledger)
+        # Naive charges are fractional (max degree over node count), so
+        # the cycle checks arithmetic that an integer sum would not.
+        assert "naive samplers" in kinds_seen
 
 
 class TestChargeWhatIsStored:
