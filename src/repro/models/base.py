@@ -223,6 +223,19 @@ class SecondOrderModel(ABC):
         """
         return None
 
+    def return_outlier(self, graph: CSRGraph) -> tuple[float, float] | None:
+        """``(B', r_ret)``, if the return candidate is an outlier of the
+        ratios: ``B'`` bounds ``r_uvz`` over every candidate ``z != u`` in
+        closed form, and ``r_ret`` is the exact ratio of ``z = u``.
+
+        Where ``r_ret > B'`` the batch engine's rejection path proposes
+        the return edge separately and draws the rest under the envelope
+        ``B'`` instead of ``max_ratio_bound`` (see ``docs/performance.md``,
+        "Rejection rounds").  The default, ``None``, keeps the plain
+        envelope.
+        """
+        return None
+
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check hyper-parameters; raise :class:`ModelError` when invalid."""

@@ -147,5 +147,10 @@ class Node2VecModel(SecondOrderModel):
         """``max(1/a, 1/b, 1)`` — closed form used by Section 3.1."""
         return max(1.0 / self.a, 1.0 / self.b, 1.0)
 
+    def return_outlier(self, graph: CSRGraph) -> tuple[float, float]:
+        """Candidates other than ``u`` have ratio ``1`` or ``1/b``; the
+        return candidate has ``1/a``."""
+        return max(1.0, 1.0 / self.b), 1.0 / self.a
+
     def __repr__(self) -> str:
         return f"Node2VecModel(a={self.a}, b={self.b})"

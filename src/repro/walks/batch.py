@@ -24,7 +24,10 @@ memory the optimizer paid for is actually exploited on the hot path:
   columns, keep/alias resolution, and acceptance draws are whole-array
   operations.  Each round gives every pending walker several proposals
   (more as fewer walkers remain) and a walker takes its first accepted
-  one, so a step needs few rounds even at low acceptance;
+  one, so a step needs few rounds even at low acceptance.  Where the
+  model's return candidate is an outlier of its ratios (node2vec with
+  ``1/a > max(1, 1/b)``), the return edge is proposed apart and the rest
+  are drawn under the lower envelope of the other candidates;
 * **alias** nodes read their pre-built e2e tables and resolve every
   walker with two uniform draws, no distribution rebuilds at all.  Each
   walker carries the flat CSR index of its last hop, and the reverse of
@@ -161,13 +164,22 @@ class BatchWalkEngine:
                 "rejection samplers hold no acceptance factors, and the "
                 "model has no closed-form ratio bound"
             )
+        self._reverse: np.ndarray | None = None
         if self._alias_arena is not None or (
             self._rejection_arena is not None and self._global_bound is None
         ):
             # Table and factor addressing by the carried hop (see
-            # _arrival_offsets) reads the graph's reverse-edge index: build
+            # _return_edges) reads the graph's reverse-edge index: build
             # it with the engine.
-            graph.reverse_edges()
+            self._reverse = graph.reverse_edges()
+        # (B', r_ret / B' - 1) where the return edge folds out of the
+        # rejection envelope (see _return_split), else None.
+        self._fold: tuple[float, float] | None = None
+        outlier = model.return_outlier(graph)
+        if self._global_bound is not None and outlier is not None:
+            envelope, r_return = outlier
+            if r_return > envelope:
+                self._fold = (envelope, r_return / envelope - 1.0)
         self._dispatch_groups = {name: 0 for name in _KIND_NAMES.values()}
         self._dispatch_walkers = {name: 0 for name in _KIND_NAMES.values()}
         self._steps = 0
@@ -486,6 +498,7 @@ class BatchWalkEngine:
         d_all = self.graph.degrees[v_arr].astype(np.int64, copy=False)
         starts_all = self.graph.indptr[v_arr]
         factors = self._acceptance_factors(u_arr, v_arr, edge[sub])
+        split = self._return_split(u_arr, v_arr, edge[sub])
 
         result = np.empty(len(sub), dtype=np.int64)
         pending = np.arange(len(sub))
@@ -508,6 +521,13 @@ class BatchWalkEngine:
             with kernel_scope("flat_alias_pick"):
                 u_column = gen.random(n)
                 u_keep = gen.random(n)
+            if split is not None:
+                # The column uniform first chooses between the n2e table
+                # (below the walker's share) and its return edge, then is
+                # rescaled to a column uniform of the table.
+                share, back = split[0][rows], split[1][rows]
+                outlier = u_column >= share
+                u_column = u_column / share
             picks = kb.flat_alias_pick(
                 arena.prob,
                 arena.alias,
@@ -517,6 +537,8 @@ class BatchWalkEngine:
                 u_keep,
             )
             hops = starts_all[rows] + picks
+            if split is not None:
+                hops[outlier] = back[outlier]
             z = self.graph.indices[hops]
             ratios = self.model.target_ratio_bulk(
                 self.graph, u_arr[rows], v_arr[rows], z, hops=hops
@@ -540,11 +562,14 @@ class BatchWalkEngine:
         self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
     ) -> np.ndarray:
         """``1 / max_t r_uvt`` per walker: the model's closed-form bound
-        when it has one, else the rejection arena's per-edge factors,
+        when it has one (``B'`` where the return edge folds out, see
+        :meth:`_return_split`), else the rejection arena's per-edge factors,
         addressed by the previous node's position in ``N(v)`` (see
         :meth:`_arrival_offsets`).  Arrivals from outside ``N(v)``
         (directed graphs only) ask the sampler, once per distinct edge
         state."""
+        if self._fold is not None:
+            return np.full(len(u_arr), 1.0 / self._fold[0])
         if self._global_bound is not None:
             return np.full(len(u_arr), 1.0 / self._global_bound)
         offsets, found = self._arrival_offsets(u_arr, v_arr, edges)
@@ -571,17 +596,50 @@ class BatchWalkEngine:
         self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Position of each walker's previous node ``u`` in ``N(v)``, plus
-        a found mask: the reverse of the carried hop ``u -> v`` is the
-        edge ``v -> u``, so the position is ``rev[edge] - indptr[v]`` — one
-        gather, no search.  Hops a fallback sampler took (``edge = -1``)
-        are looked up with :meth:`CSRGraph.edge_ids`.  ``found`` is false
-        where ``v -> u`` is not stored (one-way edges of a directed
-        graph)."""
-        back = self.graph.reverse_edges()[edges]
+        a found mask: ``found`` is false where ``v -> u`` is not stored
+        (one-way edges of a directed graph)."""
+        back = self._return_edges(u_arr, v_arr, edges)
+        return back - self.graph.indptr[v_arr], back >= 0
+
+    def _return_edges(
+        self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
+    ) -> np.ndarray:
+        """Flat CSR index of each walker's return edge ``v -> u``, or -1
+        where it is not stored.  With the reverse-edge index it is the
+        reverse of the carried hop ``u -> v`` — one gather, no search —
+        and only hops a fallback sampler took (``edge = -1``) are looked
+        up with :meth:`CSRGraph.edge_ids`; without it, every walker is
+        looked up in that one call."""
+        if self._reverse is None:
+            return self.graph.edge_ids(v_arr, u_arr)
+        back = self._reverse[edges]
         unknown = np.flatnonzero(edges < 0)
         if unknown.size:
             back[unknown] = self.graph.edge_ids(v_arr[unknown], u_arr[unknown])
-        return back - self.graph.indptr[v_arr], back >= 0
+        return back
+
+    def _return_split(
+        self, u_arr: np.ndarray, v_arr: np.ndarray, edges: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per walker, the share of its n2e table in the folded proposal,
+        and its return edge ``v -> u`` (see :meth:`_return_edges`);
+        ``None`` where the model's return candidate is no outlier.
+
+        The n2e table proposes ``z`` with mass ``w_vz``, accepted with
+        ``min(1, r_uvz / B')``, and the return edge has the excess
+        ``e = w_vu · (r_ret / B' - 1)`` on top, accepted always: so ``z``
+        is taken with mass ``∝ w_vz · r_uvz``, the e2e law.  The share is
+        ``W_v / (W_v + e)``; it is exactly 1 where ``v -> u`` is not
+        stored, so those walkers draw as without the fold.
+        """
+        if self._fold is None:
+            return None
+        back = self._return_edges(u_arr, v_arr, edges)
+        stored = back >= 0
+        excess = np.zeros(len(back), dtype=np.float64)
+        excess[stored] = self.graph.weights[back[stored]] * self._fold[1]
+        total = self.graph.weight_sums[v_arr]
+        return total / (total + excess), back
 
     # ------------------------------------------------------------------
     # alias path: gathered pre-built tables, two uniforms per walker

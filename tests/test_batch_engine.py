@@ -91,9 +91,6 @@ class TestAssignmentAwareDispatch:
         assert dispatch["alias"]["walkers"] == 0
 
     def test_custom_sampler_routes_to_fallback(self, graph, model):
-        class OpaqueSampler(NaiveNodeSampler):
-            kind = None  # outside the built-in trio
-
         samplers = [
             OpaqueSampler(graph, model, v) if graph.degree(v) > 0 else None
             for v in range(graph.num_nodes)
@@ -132,7 +129,7 @@ class TestAssignmentAwareDispatch:
 # determinism (hash-pinned)
 # ----------------------------------------------------------------------
 class TestBatchDeterminism:
-    PINNED = "96c6d58ab87a209c4f01ef4a50c77d5320256de151a737dda402ca5153907020"
+    PINNED = "5fa4e15ef079b85aef0dfb0eeb5f595422e2bd47435340b6bc62cf1888816ad4"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pinned_corpus_hash(self, framework, backend):
@@ -308,32 +305,127 @@ class TestRejectionFactors:
         assert not engine.samplers[int(vs[0])].edge_factors.flags.writeable
 
 
+def weighted_copy(graph, *, drop=(), seed=3):
+    """``graph`` with uniform(0.5, 3) edge weights, symmetric unless the
+    directed edges ``drop`` are left out (then it is stored directed)."""
+    rng = np.random.default_rng(seed)
+    sources = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    pairs = np.stack([sources, graph.indices], axis=1)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    weights = rng.uniform(0.5, 3.0, size=len(pairs))
+    pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    weights = np.concatenate([weights, weights])
+    dropped = set(drop)
+    keep = np.array([tuple(p) not in dropped for p in pairs.tolist()])
+    return from_edges(
+        pairs[keep], weights[keep], num_nodes=graph.num_nodes, undirected=False
+    )
+
+
+class OpaqueSampler(NaiveNodeSampler):
+    kind = None  # outside the built-in trio: the batch engine's fallback
+
+
+def hub_engine(graph, model, starts, arrival):
+    """A rejection sampler on every non-sink node but ``starts``, whose
+    first hop arrives by ``arrival``: ``"rejection"`` (their own rejection
+    n2e table; the engine holds no reverse-edge index), ``"alias"`` (alias
+    samplers, so the engine holds the index) or ``"fallback"`` (custom
+    samplers, so the hop arrives without an edge id, next to one alias
+    sampler elsewhere that makes the engine hold the index)."""
+    samplers = list(rejection_engine(graph, model).samplers)
+    aliased = starts
+    if arrival == "fallback":
+        for v in starts.tolist():
+            samplers[v] = OpaqueSampler(graph, model, v)
+        others = np.setdiff1d(np.flatnonzero(graph.degrees), starts)
+        aliased = others[np.argsort(graph.degrees[others], kind="stable")[:1]]
+    if arrival != "rejection":
+        for v, sampler in zip(
+            aliased.tolist(),
+            build_node_samplers(SamplerKind.ALIAS, graph, model, aliased),
+        ):
+            samplers[v] = sampler
+    engine = BatchWalkEngine(graph, model, samplers)
+    assert (engine._reverse is not None) == (arrival != "rejection")
+    return engine
+
+
+def low_degree_neighbours(graph, hub, count=4):
+    neighbours = graph.neighbors(hub)
+    by_degree = np.argsort(graph.degrees[neighbours], kind="stable")
+    return neighbours[by_degree][:count]
+
+
+def hub_law_pvalue(graph, model, engine, hub, starts, rng):
+    """Fisher-combined chi-square p-value of next-node counts out of the
+    contexts ``(u, hub)``, ``u`` in ``starts``, against
+    ``biased_weights(u, hub)``: walks of two hops from each start reach
+    the hub first, then take one e2e step there."""
+    corpus = engine.walks(starts=starts, num_walks=6_000, length=2, rng=rng)
+    counts = corpus.second_order_transition_counts()
+    neighbours = graph.neighbors(hub)
+    pvalues = []
+    for u in starts.tolist():
+        counter = counts[(u, hub)]
+        n = sum(counter.values())
+        assert n >= 1_000
+        weights = model.biased_weights(graph, u, hub)
+        expected = n * weights / weights.sum()
+        observed = np.array(
+            [counter.get(int(z), 0) for z in neighbours], dtype=np.float64
+        )
+        _, p = scipy.stats.chisquare(observed, expected)
+        pvalues.append(p)
+    return scipy.stats.combine_pvalues(pvalues, method="fisher")[1]
+
+
+#: node2vec parameters whose return candidate is an outlier of the ratios
+#: (``1/a > max(1, 1/b)``: the engine folds it out of the envelope), and
+#: ones where it is not.
+FOLDED, UNFOLDED = Node2VecModel(0.25, 4.0), Node2VecModel(2.0, 0.5)
+
+
 class TestRejectionRounds:
     def test_hub_contexts_follow_exact_law(self, graph):
-        """Multi-proposal rounds at low acceptance: next-node counts out
-        of fixed ``(u, hub)`` contexts fit ``biased_weights(u, hub)``."""
-        model = Node2VecModel(0.25, 8.0)
-        engine = rejection_engine(graph, model)
+        """Multi-proposal rounds at low acceptance, on a weighted graph,
+        with and without the return edge folded out of the envelope:
+        next-node counts out of fixed ``(u, hub)`` contexts fit
+        ``biased_weights(u, hub)``."""
+        weighted = weighted_copy(graph)
+        hub = int(np.argmax(weighted.degrees))
+        starts = low_degree_neighbours(weighted, hub)
+        for model, folded in ((FOLDED, True), (UNFOLDED, False)):
+            engine = hub_engine(weighted, model, starts, "rejection")
+            assert (engine._fold is not None) == folded
+            pvalue = hub_law_pvalue(weighted, model, engine, hub, starts, rng=31)
+            assert pvalue > 0.01, model
+
+    @pytest.mark.parametrize("arrival", ["alias", "fallback"])
+    def test_arrivals_follow_exact_law(self, graph, arrival):
+        """The return edge of the folded envelope is read off the
+        reverse-edge index, and looked up where the hop arrived through a
+        custom sampler (edge id -1): both keep the exact law."""
+        weighted = weighted_copy(graph)
+        hub = int(np.argmax(weighted.degrees))
+        starts = low_degree_neighbours(weighted, hub)
+        engine = hub_engine(weighted, FOLDED, starts, arrival)
+        assert hub_law_pvalue(weighted, FOLDED, engine, hub, starts, rng=32) > 0.01
+
+    @pytest.mark.parametrize("arrival", ["rejection", "alias", "fallback"])
+    def test_one_way_arrivals_follow_exact_law(self, graph, arrival):
+        """Arrivals over one-way edges ``u -> hub`` (no ``hub -> u`` to
+        fold out, so those walkers draw from the plain n2e table) walk
+        the exact law next to two-way arrivals at the same hub."""
         hub = int(np.argmax(graph.degrees))
-        neighbours = graph.neighbors(hub)
-        by_degree = np.argsort(graph.degrees[neighbours], kind="stable")
-        starts = neighbours[by_degree][:4]
-        corpus = engine.walks(starts=starts, num_walks=6_000, length=2, rng=31)
-        counts = corpus.second_order_transition_counts()
-        pvalues = []
-        for u in starts.tolist():
-            counter = counts[(u, hub)]
-            n = sum(counter.values())
-            assert n >= 1_000
-            weights = model.biased_weights(graph, u, hub)
-            expected = n * weights / weights.sum()
-            observed = np.array(
-                [counter.get(int(z), 0) for z in neighbours], dtype=np.float64
-            )
-            _, p = scipy.stats.chisquare(observed, expected)
-            pvalues.append(p)
-        _, combined = scipy.stats.combine_pvalues(pvalues, method="fisher")
-        assert combined > 0.01
+        starts = low_degree_neighbours(graph, hub)
+        one_way = [(hub, int(u)) for u in starts[:2]]
+        directed = weighted_copy(graph, drop=one_way)
+        assert not any(directed.has_edge(v, u) for v, u in one_way)
+        assert all(directed.has_edge(u, v) for v, u in one_way)
+        engine = hub_engine(directed, FOLDED, starts, arrival)
+        assert engine._fold is not None
+        assert hub_law_pvalue(directed, FOLDED, engine, hub, starts, rng=33) > 0.01
 
     def test_round_cap_raises(self, graph):
         """A model that never accepts stops after exactly
@@ -362,6 +454,31 @@ class TestRejectionRounds:
         with pytest.raises(SamplerError, match="exceeded 5 rounds"):
             engine.walks(num_walks=1, length=3, rng=0)
         assert len(rounds) == 5
+
+
+class TestReturnFoldPins:
+    """Corpora the return-edge fold must leave as they were: both hashes
+    were taken before the batch engine folded the return edge out."""
+
+    #: All-rejection batch engine where the return candidate is no
+    #: outlier of the ratios, so nothing is folded.
+    UNFOLDED_BATCH = "28e156da36d56bc0882434dcd935f4bf0ffc55917afd986621979ec336d4161a"
+    #: Scalar Algorithm 1 over an all-rejection framework where the batch
+    #: engine would fold: the scalar engine keeps the paper's envelope.
+    SCALAR_AT_FOLDED = "92d9184d988102440bd1ce2028c5de875633c013b4d2600eab106f49e42edfca"
+
+    def test_unfolded_batch_corpus_holds(self, graph):
+        engine = rejection_engine(graph, UNFOLDED)
+        assert engine._fold is None
+        corpus = engine.walks(num_walks=3, length=20, rng=11)
+        assert corpus_sha(corpus) == self.UNFOLDED_BATCH
+
+    def test_scalar_corpus_holds_at_folded_parameters(self, graph):
+        framework = MemoryAwareFramework.memory_unaware(
+            graph, FOLDED, SamplerKind.REJECTION, rng=0
+        )
+        walks = framework.generate_walks(num_walks=3, length=20, rng=11)
+        assert corpus_sha(walks) == self.SCALAR_AT_FOLDED
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +545,11 @@ class TestCarriedEdges:
 
     #: Corpus hashes of the engine before walkers carried their last hop's
     #: edge id; the carried ids only replace searches, so they must hold.
+    #: node2vec was re-pinned when the rejection path folded its return
+    #: edge out of the envelope.
     PINNED = {
         "autoregressive": "6b51bca33e9d43f0c0b2c1d75da1de7000b1fa1ab51f2da240850a581555dd7f",
-        "node2vec": "1619ce2dd075b177c1a42295b968d128d876cd82dd38cf0cde637cef17e6b67f",
+        "node2vec": "bf11e48dbe4cabea1372e13815397009a080c2de6909f7cc96e478094b788ee8",
     }
 
     @pytest.mark.parametrize(
@@ -500,10 +619,12 @@ class TestSplitTrails:
         assert walks[0].base.size == 10
 
     #: Corpus hashes of the per-row trim (before ``split_trails``) on a
-    #: directed graph with sinks: walks of every length from 1 to 9.
+    #: directed graph with sinks: walks of every length from 1 to 9.  The
+    #: batch engine's two were re-pinned when its rejection path folded
+    #: node2vec's return edge out of the envelope.
     SINK_PINS = {
-        "walks": "d811a1fbc6f1455b229480c6471de6ec4ceefbbf9950f9f04998daa07a9cd2b8",
-        "walk_chunk": "1a1ea8c2750d3b9bce89c503a88a9cb99e5ad4720e6c2e786b8700729e6d16e0",
+        "walks": "2b6ceecb12514f23179bff264846d72f55e4102639bb110b5bde34bc4239532c",
+        "walk_chunk": "6f7f60752cbc6d7507686cf6b0c6661ad3bf47b46103317e7a12cb5ea7783bb1",
         "scheduler": "c48964bac661bb962ee2d1374fd10b1b43f62290c70c70c9baf24122ec032c0b",
     }
 

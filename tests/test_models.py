@@ -71,6 +71,23 @@ class TestNode2Vec:
         assert Node2VecModel(4.0, 0.25).max_ratio_bound(toy_graph) == 4.0
         assert Node2VecModel(2.0, 2.0).max_ratio_bound(toy_graph) == 1.0
 
+    @pytest.mark.parametrize("a,b", [(0.25, 4.0), (0.5, 2.0), (2.0, 0.5), (1.0, 1.0)])
+    def test_return_outlier(self, toy_graph, a, b):
+        """``B'`` bounds every ratio but the return candidate's, and
+        ``r_ret`` is that candidate's exact ratio."""
+        model = Node2VecModel(a, b)
+        envelope, r_return = model.return_outlier(toy_graph)
+        assert max(envelope, r_return) == model.max_ratio_bound(toy_graph)
+        for u in range(toy_graph.num_nodes):
+            for v in toy_graph.neighbors(u).tolist():
+                z = toy_graph.neighbors(v)
+                ratios = model.target_ratios(toy_graph, u, v)
+                assert np.all(ratios[z != u] <= envelope)
+                assert np.all(ratios[z == u] == r_return)
+
+    def test_no_return_outlier_by_default(self, toy_graph):
+        assert AutoregressiveModel(0.2).return_outlier(toy_graph) is None
+
     @pytest.mark.parametrize("a,b", [(0, 1), (-1, 1), (1, 0), (1, -2)])
     def test_invalid_parameters(self, a, b):
         with pytest.raises(ModelError):
