@@ -236,6 +236,19 @@ class SecondOrderModel(ABC):
         """
         return None
 
+    def min_ratio_bound(self, graph: CSRGraph) -> float | None:
+        """A graph-wide constant lower bound on ``r_uvz``, if one exists.
+
+        Every candidate, ``z = u`` included, has ``r_uvz`` at or above it.
+        The batch engine's rejection path accepts a proposal under the
+        envelope ``B`` with probability at least ``min(1, r_min / B)``, so
+        it takes one in that many without a ratio call (see
+        ``docs/performance.md``, "Rejection rounds").  The default,
+        ``None``, checks every proposal.  A model whose ratios fall below
+        the bound it declares makes the engine raise ``SamplerError``.
+        """
+        return None
+
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check hyper-parameters; raise :class:`ModelError` when invalid."""

@@ -152,5 +152,10 @@ class Node2VecModel(SecondOrderModel):
         return candidate has ``1/a``."""
         return max(1.0, 1.0 / self.b), 1.0 / self.a
 
+    def min_ratio_bound(self, graph: CSRGraph) -> float:
+        """``min(1/a, 1, 1/b)``: the three ratio kinds, ``z = u``
+        included."""
+        return min(1.0 / self.a, 1.0, 1.0 / self.b)
+
     def __repr__(self) -> str:
         return f"Node2VecModel(a={self.a}, b={self.b})"

@@ -85,6 +85,35 @@ class TestNode2Vec:
                 assert np.all(ratios[z != u] <= envelope)
                 assert np.all(ratios[z == u] == r_return)
 
+    @pytest.mark.parametrize(
+        "a,b", [(0.25, 4.0), (0.5, 8.0), (2.0, 0.5), (4.0, 0.25), (1.0, 1.0)]
+    )
+    def test_min_ratio_bound_is_a_floor(self, a, b):
+        """``min(1/a, 1, 1/b)`` is at most every ``target_ratios`` value."""
+        graph = barabasi_albert_graph(40, 3, rng=2)
+        model = Node2VecModel(a, b)
+        floor = model.min_ratio_bound(graph)
+        for u in range(graph.num_nodes):
+            for v in graph.neighbors(u).tolist():
+                assert np.all(model.target_ratios(graph, u, v) >= floor)
+
+    @pytest.mark.parametrize("a,b", [(0.25, 4.0), (2.0, 0.5), (4.0, 2.0)])
+    def test_min_ratio_bound_is_attained(self, toy_graph, a, b):
+        """On a graph with all three ratio kinds the floor is one of them."""
+        model = Node2VecModel(a, b)
+        seen = set()
+        for u in range(toy_graph.num_nodes):
+            for v in toy_graph.neighbors(u).tolist():
+                seen.update(model.target_ratios(toy_graph, u, v).tolist())
+        assert {1.0 / a, 1.0, 1.0 / b} <= seen
+        assert model.min_ratio_bound(toy_graph) == min(seen)
+
+    def test_no_min_ratio_bound_by_default(self, toy_graph):
+        assert AutoregressiveModel(0.2).min_ratio_bound(toy_graph) is None
+        assert SecondOrderModel.min_ratio_bound(
+            AutoregressiveModel(0.2), toy_graph
+        ) is None
+
     def test_no_return_outlier_by_default(self, toy_graph):
         assert AutoregressiveModel(0.2).return_outlier(toy_graph) is None
 
